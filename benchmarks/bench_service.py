@@ -331,17 +331,24 @@ def run_capacity_rung(port: int, offered_rps: float, seed: int) -> dict:
 
 
 def run_capacity(port: int, workers: int) -> dict:
-    """Ladder the offered rate against one topology; returns the entry."""
+    """Ladder the offered rate against one topology; returns the entry.
+
+    ``max_sustained_rps`` is the last rung of the unbroken passing
+    prefix: a rung that passes above a failed one is noise, not
+    capacity.  Every rung still lands in the curve.
+    """
     _warm_capacity_keys(port)
     curve = []
     max_sustained = 0.0
+    broken = False
     for rung_number, offered in enumerate(CAPACITY_LADDER):
         rung = run_capacity_rung(
             port, offered, seed=CAPACITY_SEED + rung_number
         )
         sustained = rung.pop("sustained")
-        if sustained:
-            max_sustained = max(max_sustained, offered)
+        broken = broken or not sustained
+        if not broken:
+            max_sustained = offered
         curve.append(rung)
         print(
             f"capacity[{workers}w] offered {offered:g} rps: "

@@ -10,7 +10,7 @@ both trace generation and the pure-Python cache stepping entirely.
 Key derivation (see ``docs/ENGINE.md``): the cache key is the SHA-256 of
 a human-readable *key material* string joining
 
-* the store layout version (:data:`STORE_VERSION`),
+* the address format (``store/1``),
 * the event-array schema version
   (:data:`repro.cache.events.EVENT_SCHEMA_VERSION`),
 * the trace fingerprint (e.g. ``spec92/1/swm256/60000/7`` from
@@ -19,14 +19,19 @@ a human-readable *key material* string joining
 * every :class:`CacheConfig` field that can influence the functional
   pass.
 
-Bumping any version constant therefore invalidates exactly the entries
-it should; no mtime heuristics, no manual cleanup required.  Payloads
-are ``.npz`` files (the arrays named by
-:data:`~repro.cache.events.EVENT_ARRAYS`) next to a JSON sidecar holding
-the metadata and :class:`~repro.cache.stats.CacheStats` counters, both
-written atomically (temp file + ``os.replace``) so a killed run never
-leaves a truncated entry.  Any load failure — corrupt file, schema
-mismatch, partial write — silently falls back to re-extraction.
+Bumping a schema or generator version therefore invalidates exactly
+the entries it should; no mtime heuristics, no manual cleanup required.
+Entries live in a :class:`~repro.util.blobstore.BlobStore`:
+``<key>.npz`` (the arrays named by
+:data:`~repro.cache.events.EVENT_ARRAYS`) beside a ``<key>.json``
+sidecar holding the versions, the key material, the
+:class:`~repro.cache.stats.CacheStats` counters and the payload's size
+and sha256.  The store layout version (:data:`STORE_VERSION`) lives in
+the sidecar only: a layout bump turns old entries into plain misses that
+the next save overwrites in place, and leaves content addresses — which
+the service also shards requests on — where they were.  Any load
+failure — corrupt file, schema mismatch, partial write — silently falls
+back to re-extraction.
 
 Opt-out / redirection:
 
@@ -41,21 +46,18 @@ on its normal hit/miss paths — a cold and a warm run must produce
 byte-identical metrics snapshots.  Cache activity is visible through
 span tracing (``events_store.load`` / ``events_store.save``) and debug
 logging.  The one exception is the **diagnostic-only**
-``events_store.corrupt_reextract`` counter, bumped when a present entry
-fails to load (corrupt payload, truncated sidecar) and silently falls
-back to re-extraction; :func:`repro.obs.manifest.stable_view` strips it
-(see :data:`~repro.obs.manifest.DIAGNOSTIC_COUNTERS`) so the
-determinism contract is unchanged.
+``store.corrupt_recompute{store=events}`` counter, bumped when a present
+entry fails to load and silently falls back to re-extraction;
+:func:`repro.obs.manifest.stable_view` strips it (see
+:data:`~repro.obs.manifest.DIAGNOSTIC_COUNTERS`) so the determinism
+contract is unchanged.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import logging
-import os
-import tempfile
 from collections.abc import Callable, Sequence
 from pathlib import Path
 
@@ -71,11 +73,13 @@ from repro.cache.events import (
 from repro.cache.stats import CacheStats
 from repro.obs import metrics, tracing
 from repro.trace.record import Instruction
+from repro.util import storeenv
+from repro.util.blobstore import BlobStore
 
 log = logging.getLogger("repro.events_store")
 
 #: Bump when the on-disk layout (file naming, sidecar format) changes.
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 #: Set to ``0``/``off``/``false`` to disable the store.
 EVENTS_CACHE_ENV = "REPRO_EVENTS_CACHE"
@@ -83,30 +87,27 @@ EVENTS_CACHE_ENV = "REPRO_EVENTS_CACHE"
 #: Overrides the default cache directory.
 EVENTS_CACHE_DIR_ENV = "REPRO_EVENTS_CACHE_DIR"
 
-_DISABLED_VALUES = frozenset({"0", "off", "false", "no"})
-
 
 def cache_enabled() -> bool:
     """Whether the on-disk store is active (checked per call, so tests
     and ``--no-events-cache`` can flip it at runtime)."""
-    value = os.environ.get(EVENTS_CACHE_ENV)
-    return value is None or value.strip().lower() not in _DISABLED_VALUES
+    return storeenv.enabled(EVENTS_CACHE_ENV)
 
 
 def cache_dir() -> Path:
     """Resolved cache directory (not created until first save)."""
-    override = os.environ.get(EVENTS_CACHE_DIR_ENV)
-    if override:
-        return Path(override)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "repro" / "events"
+    return storeenv.store_dir(EVENTS_CACHE_DIR_ENV, "events")
+
+
+def store() -> BlobStore:
+    """The event-stream store in :func:`cache_dir`."""
+    return BlobStore(cache_dir(), "events", ".npz")
 
 
 def key_material(trace_fingerprint: str, config: CacheConfig) -> str:
     """The human-readable string whose SHA-256 addresses one entry."""
     return (
-        f"store/{STORE_VERSION}"
+        "store/1"
         f"|events/{EVENT_SCHEMA_VERSION}"
         f"|trace/{trace_fingerprint}"
         f"|cache/{config.total_bytes}/{config.line_size}"
@@ -121,23 +122,13 @@ def entry_key(trace_fingerprint: str, config: CacheConfig) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
-def _paths(key: str) -> tuple[Path, Path]:
-    root = cache_dir()
-    return root / f"{key}.npz", root / f"{key}.json"
-
-
-def _atomic_write(path: Path, writer: Callable[[str], None]) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    os.close(fd)
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+def _fields(trace_fingerprint: str, config: CacheConfig) -> dict[str, object]:
+    """Sidecar fields a loaded entry must match."""
+    return {
+        "store_version": STORE_VERSION,
+        "event_schema_version": EVENT_SCHEMA_VERSION,
+        "key_material": key_material(trace_fingerprint, config),
+    }
 
 
 def save(trace_fingerprint: str, config: CacheConfig, events: EventStream) -> None:
@@ -145,34 +136,19 @@ def save(trace_fingerprint: str, config: CacheConfig, events: EventStream) -> No
     if not cache_enabled():
         return
     key = entry_key(trace_fingerprint, config)
-    npz_path, meta_path = _paths(key)
     stats = {
         f.name: getattr(events.stats, f.name)
         for f in dataclasses.fields(events.stats)
     }
-    meta = {
-        "store_version": STORE_VERSION,
-        "event_schema_version": EVENT_SCHEMA_VERSION,
-        "key_material": key_material(trace_fingerprint, config),
+    fields = {
+        **_fields(trace_fingerprint, config),
         "n_instructions": events.n_instructions,
         "stats": stats,
     }
     arrays = {name: getattr(events, name) for name in EVENT_ARRAYS}
-
-    def _write_npz(tmp: str) -> None:
-        with open(tmp, "wb") as handle:  # a file object keeps the name as-is
-            np.savez(handle, **arrays)
-
-    def _write_meta(tmp: str) -> None:
-        Path(tmp).write_text(
-            json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8"
-        )
-
     try:
         with tracing.span("events_store.save", key=key[:12]):
-            npz_path.parent.mkdir(parents=True, exist_ok=True)
-            _atomic_write(npz_path, _write_npz)
-            _atomic_write(meta_path, _write_meta)
+            store().put(key, lambda handle: np.savez(handle, **arrays), fields)
     except OSError as exc:
         log.debug("events_store: save failed for %s: %s", key[:12], exc)
 
@@ -182,39 +158,19 @@ def load(trace_fingerprint: str, config: CacheConfig) -> EventStream | None:
     if not cache_enabled():
         return None
     key = entry_key(trace_fingerprint, config)
-    npz_path, meta_path = _paths(key)
-    try:
-        with tracing.span("events_store.load", key=key[:12]):
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            if (
-                meta.get("store_version") != STORE_VERSION
-                or meta.get("event_schema_version") != EVENT_SCHEMA_VERSION
-                or meta.get("key_material") != key_material(trace_fingerprint, config)
-            ):
-                return None
-            with np.load(npz_path) as payload:
-                arrays = {name: payload[name] for name in EVENT_ARRAYS}
-            stats = CacheStats(**meta["stats"])
-            return EventStream(
-                config=config,
-                n_instructions=int(meta["n_instructions"]),
-                stats=stats,
-                **arrays,
-            )
-    except Exception as exc:  # noqa: BLE001 - any corruption => re-extract
-        if not isinstance(exc, FileNotFoundError):
-            # A present-but-unloadable entry is worth a signal: the data
-            # is regenerated transparently, but repeated corruption means
-            # a sick disk or a concurrent writer bug.  Diagnostic-only —
-            # stable_view strips the counter (DIAGNOSTIC_COUNTERS).
-            metrics.inc("events_store.corrupt_reextract")
-            log.warning(
-                "events_store: corrupt entry %s (%s: %s); re-extracting",
-                key[:12],
-                type(exc).__name__,
-                exc,
-            )
-        return None
+
+    def parse(handle, sidecar) -> EventStream:
+        with np.load(handle) as payload:
+            arrays = {name: payload[name] for name in EVENT_ARRAYS}
+        return EventStream(
+            config=config,
+            n_instructions=int(sidecar["n_instructions"]),
+            stats=CacheStats(**sidecar["stats"]),
+            **arrays,
+        )
+
+    with tracing.span("events_store.load", key=key[:12]):
+        return store().load(key, _fields(trace_fingerprint, config), parse)
 
 
 def get_or_extract(

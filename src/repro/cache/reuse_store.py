@@ -6,11 +6,11 @@ store here is keyed on the trace fingerprint alone.  A cold LRU sweep
 then pays one trace generation + one profiling pass, after which every
 geometry derives from the same arrays.
 
-Layout mirrors :mod:`repro.cache.events_store` deliberately: ``.npz``
-payload (the arrays in :data:`~repro.cache.reuse.PROFILE_ARRAYS`) plus a
-JSON sidecar, both written atomically into the *same* directory as the
-event streams — so ``REPRO_EVENTS_CACHE_DIR`` redirects both stores and
-wiping one cold-start wipes the other.  Persistence obeys the same
+Entries live in a :class:`~repro.util.blobstore.BlobStore` in the
+``reuse/`` subdirectory of the events store's directory: an ``.npz``
+payload (the arrays in :data:`~repro.cache.reuse.PROFILE_ARRAYS`) plus
+a JSON sidecar — so ``REPRO_EVENTS_CACHE_DIR`` redirects both stores
+and wiping one cold-start wipes the other.  Persistence obeys the same
 ``REPRO_EVENTS_CACHE`` opt-out.
 
 Two knobs are specific to this store:
@@ -26,19 +26,16 @@ Two knobs are specific to this store:
 
 Determinism note: like the events store, normal hit/miss paths record
 no metrics counters.  The one exception is the diagnostic-only
-``reuse_store.corrupt_reextract`` counter (a present entry that fails to
-load, silently rebuilt); :func:`repro.obs.manifest.stable_view` strips
-it so cold/warm metrics snapshots stay byte-identical.
+``store.corrupt_recompute{store=reuse}`` counter (a present entry that
+fails to load, silently rebuilt); :func:`repro.obs.manifest.stable_view`
+strips it so cold/warm metrics snapshots stay byte-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
-import os
 from collections.abc import Callable, Sequence
-from pathlib import Path
 
 import numpy as np
 
@@ -49,19 +46,19 @@ from repro.cache.reuse import (
     ReuseProfile,
     build_profile,
 )
-from repro.obs import metrics, tracing
+from repro.obs import tracing
 from repro.trace.record import Instruction
+from repro.util import storeenv
+from repro.util.blobstore import BlobStore
 
 log = logging.getLogger("repro.reuse_store")
 
 #: Bump when the on-disk layout (file naming, sidecar format) changes.
-PROFILE_STORE_VERSION = 1
+PROFILE_STORE_VERSION = 2
 
 #: Set to ``0``/``off``/``false`` to disable the reuse engine (phase 1
 #: falls back to stepping ``Cache`` for every geometry).
 REUSE_PROFILE_ENV = "REPRO_REUSE_PROFILE"
-
-_DISABLED_VALUES = frozenset({"0", "off", "false", "no"})
 
 #: In-process memo bound: profiles for this many distinct traces (each
 #: holds the reference arrays plus memoized set views).  Registry sweeps
@@ -74,14 +71,23 @@ _memo: dict[str, ReuseProfile] = {}
 def reuse_enabled() -> bool:
     """Whether the reuse engine is active (checked per call, so tests
     and ``--no-reuse-profile`` can flip it at runtime)."""
-    value = os.environ.get(REUSE_PROFILE_ENV)
-    return value is None or value.strip().lower() not in _DISABLED_VALUES
+    return storeenv.enabled(REUSE_PROFILE_ENV)
+
+
+def store() -> BlobStore:
+    """The profile store: ``reuse/`` under the events store's directory."""
+    return BlobStore(events_store.cache_dir() / "reuse", "reuse", ".npz")
 
 
 def key_material(trace_fingerprint: str) -> str:
-    """The human-readable string whose SHA-256 addresses one profile."""
+    """The human-readable string whose SHA-256 addresses one profile.
+
+    Like the events store, the layout version
+    (:data:`PROFILE_STORE_VERSION`) is checked in the sidecar, not
+    hashed into the address.
+    """
     return (
-        f"reuse/{PROFILE_STORE_VERSION}"
+        "reuse/1"
         f"|profile/{PROFILE_SCHEMA_VERSION}"
         f"|trace/{trace_fingerprint}"
     )
@@ -93,9 +99,13 @@ def entry_key(trace_fingerprint: str) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
-def _paths(key: str) -> tuple[Path, Path]:
-    root = events_store.cache_dir()
-    return root / f"{key}.profile.npz", root / f"{key}.profile.json"
+def _fields(trace_fingerprint: str) -> dict[str, object]:
+    """Sidecar fields a loaded profile must match."""
+    return {
+        "store_version": PROFILE_STORE_VERSION,
+        "profile_schema_version": PROFILE_SCHEMA_VERSION,
+        "key_material": key_material(trace_fingerprint),
+    }
 
 
 def save(trace_fingerprint: str, profile: ReuseProfile) -> None:
@@ -103,29 +113,14 @@ def save(trace_fingerprint: str, profile: ReuseProfile) -> None:
     if not events_store.cache_enabled():
         return
     key = entry_key(trace_fingerprint)
-    npz_path, meta_path = _paths(key)
-    meta = {
-        "store_version": PROFILE_STORE_VERSION,
-        "profile_schema_version": PROFILE_SCHEMA_VERSION,
-        "key_material": key_material(trace_fingerprint),
+    fields = {
+        **_fields(trace_fingerprint),
         "n_instructions": profile.n_instructions,
     }
     arrays = {name: getattr(profile, name) for name in PROFILE_ARRAYS}
-
-    def _write_npz(tmp: str) -> None:
-        with open(tmp, "wb") as handle:  # a file object keeps the name as-is
-            np.savez(handle, **arrays)
-
-    def _write_meta(tmp: str) -> None:
-        Path(tmp).write_text(
-            json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8"
-        )
-
     try:
         with tracing.span("reuse_store.save", key=key[:12]):
-            npz_path.parent.mkdir(parents=True, exist_ok=True)
-            events_store._atomic_write(npz_path, _write_npz)
-            events_store._atomic_write(meta_path, _write_meta)
+            store().put(key, lambda handle: np.savez(handle, **arrays), fields)
     except OSError as exc:
         log.debug("reuse_store: save failed for %s: %s", key[:12], exc)
 
@@ -135,34 +130,14 @@ def load(trace_fingerprint: str) -> ReuseProfile | None:
     if not events_store.cache_enabled():
         return None
     key = entry_key(trace_fingerprint)
-    npz_path, meta_path = _paths(key)
-    try:
-        with tracing.span("reuse_store.load", key=key[:12]):
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            if (
-                meta.get("store_version") != PROFILE_STORE_VERSION
-                or meta.get("profile_schema_version") != PROFILE_SCHEMA_VERSION
-                or meta.get("key_material") != key_material(trace_fingerprint)
-            ):
-                return None
-            with np.load(npz_path) as payload:
-                arrays = {name: payload[name] for name in PROFILE_ARRAYS}
-            return ReuseProfile(
-                n_instructions=int(meta["n_instructions"]), **arrays
-            )
-    except Exception as exc:  # noqa: BLE001 - any corruption => rebuild
-        if not isinstance(exc, FileNotFoundError):
-            # Diagnostic-only (stable_view strips it): the profile is
-            # rebuilt transparently, but repeated corruption means a
-            # sick disk or a concurrent writer bug.
-            metrics.inc("reuse_store.corrupt_reextract")
-            log.warning(
-                "reuse_store: corrupt profile %s (%s: %s); rebuilding",
-                key[:12],
-                type(exc).__name__,
-                exc,
-            )
-        return None
+
+    def parse(handle, sidecar) -> ReuseProfile:
+        with np.load(handle) as payload:
+            arrays = {name: payload[name] for name in PROFILE_ARRAYS}
+        return ReuseProfile(n_instructions=int(sidecar["n_instructions"]), **arrays)
+
+    with tracing.span("reuse_store.load", key=key[:12]):
+        return store().load(key, _fields(trace_fingerprint), parse)
 
 
 def get_or_build(

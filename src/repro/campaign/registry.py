@@ -19,14 +19,14 @@ by ``REPRO_CAMPAIGN_DIR`` or ``--registry``)::
           spec.json
           results.jsonl
 
-The discipline mirrors :mod:`repro.cache.events_store` /
-:mod:`repro.service.disk_cache`: every file is written atomically
-(temp + ``os.replace``), every payload has a JSON sidecar carrying the
-store version and a checksum, and any load failure degrades to
-recompute — a corrupt ``state.json`` is rebuilt by re-scanning the
-artifacts directory, a corrupt artifact simply marks its point pending
-again (the ``campaign_store.corrupt_recompute`` diagnostic counter
-fires, exactly the events-store contract).
+Every file is written with :func:`repro.util.blobstore.atomic_write`,
+and ``artifacts/`` is a :class:`~repro.util.blobstore.BlobStore`, so
+the sidecar format and corruption handling are those of every other
+durable store (``docs/ENGINE.md`` "Durable stores").  Any load failure
+degrades to recompute — a corrupt ``state.json`` is rebuilt by
+re-scanning the artifacts directory, a corrupt artifact simply marks
+its point pending again (the diagnostic counter
+``store.corrupt_recompute{store=campaign_state|campaign}`` fires).
 
 Determinism: ``state.json`` carries **no timestamps** and sorts its
 keys, artifacts are the exact ``dump_json_line`` bytes of each result,
@@ -39,14 +39,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Iterator
 
 from repro.campaign import spec as spec_mod
-from repro.obs import metrics
 from repro.obs.schemas import SchemaError, require
 from repro.service import queries
 from repro.service.result_cache import (
@@ -54,9 +51,14 @@ from repro.service.result_cache import (
     result_key,
     simulate_key_material,
 )
+from repro.util import storeenv
+from repro.util.blobstore import (
+    BlobStore,
+    atomic_write,
+    checksum_doc,
+    report_corrupt,
+)
 from repro.util.jsonout import dump_json, dump_json_line
-
-log = logging.getLogger("repro.campaign")
 
 #: Bump when the on-disk layout (file naming, sidecar format) changes.
 REGISTRY_VERSION = 1
@@ -70,42 +72,19 @@ CAMPAIGN_SUMMARY_SCHEMA = "repro.campaign.summary/1"
 CAMPAIGN_BASELINE_SCHEMA = "repro.campaign.baseline/1"
 
 
-def default_registry_dir() -> Path:
-    """The conventional location (``$XDG_CACHE_HOME/repro/campaigns``)."""
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "repro" / "campaigns"
-
-
 def resolve_registry_dir(configured: str | os.PathLike[str] | None) -> Path:
-    """The directory to use: env override, else configured, else default."""
-    override = os.environ.get(CAMPAIGN_DIR_ENV)
-    if override:
-        return Path(override)
-    if configured is not None:
-        return Path(configured)
-    return default_registry_dir()
+    """The directory to use: env override, else configured, else
+    ``$XDG_CACHE_HOME/repro/campaigns``."""
+    return storeenv.store_dir(CAMPAIGN_DIR_ENV, "campaigns", configured)
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        os.write(fd, data)
-    finally:
-        os.close(fd)
-    try:
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def _checksum_doc(data: bytes) -> dict[str, Any]:
-    return {"sha256": hashlib.sha256(data).hexdigest(), "size": len(data)}
+def _artifact_fields() -> dict[str, Any]:
+    """Sidecar fields a loaded artifact must match (their bytes are the
+    registry format since version 1: resumes read older registries)."""
+    return {
+        "registry_version": REGISTRY_VERSION,
+        "result_cache_version": RESULT_CACHE_VERSION,
+    }
 
 
 class Campaign:
@@ -117,6 +96,7 @@ class Campaign:
         self.root = Path(root)
         self.dir = self.root / self.id
         self.artifacts_dir = self.dir / "artifacts"
+        self.artifacts = BlobStore(self.artifacts_dir, "campaign", ".bin")
         self.spec_path = self.dir / "spec.json"
         self.state_path = self.dir / "state.json"
         self.results_path = self.dir / "results.jsonl"
@@ -153,7 +133,7 @@ class Campaign:
         data = spec_mod.canonical_bytes(self.spec)
         if self.spec_path.exists():
             return  # content-addressed: same id == same bytes
-        _atomic_write(self.spec_path, data)
+        atomic_write(self.spec_path, data)
 
     # -- per-point state ----------------------------------------------------
 
@@ -170,10 +150,10 @@ class Campaign:
         """Checkpoint the per-point status (atomic, with a checksum
         sidecar so a torn write is detected, not trusted)."""
         data = dump_json(self._state_doc(status)).encode("utf-8")
-        _atomic_write(self.state_path, data)
-        _atomic_write(
+        atomic_write(self.state_path, data)
+        atomic_write(
             Path(f"{self.state_path}.sum"),
-            dump_json(_checksum_doc(data)).encode("utf-8"),
+            dump_json(checksum_doc(data)).encode("utf-8"),
         )
 
     def load_state(self) -> dict[int, dict[str, Any]]:
@@ -184,7 +164,7 @@ class Campaign:
             sidecar = json.loads(
                 Path(f"{self.state_path}.sum").read_text(encoding="utf-8")
             )
-            if sidecar != _checksum_doc(data):
+            if sidecar != checksum_doc(data):
                 raise ValueError("state checksum mismatch")
             doc = json.loads(data)
             if (
@@ -204,13 +184,7 @@ class Campaign:
         except FileNotFoundError:
             return self.rebuild_status()
         except (OSError, ValueError, KeyError) as exc:
-            metrics.inc("campaign_store.corrupt_recompute", kind="state")
-            log.warning(
-                "campaign %s: corrupt state (%s: %s); rebuilding from artifacts",
-                self.id[:12],
-                type(exc).__name__,
-                exc,
-            )
+            report_corrupt("campaign_state", self.id, exc)
             return self.rebuild_status()
 
     def rebuild_status(self) -> dict[int, dict[str, Any]]:
@@ -222,60 +196,18 @@ class Campaign:
                 status[cp.index] = {"excluded": True}
                 continue
             key = self.result_key_of(cp.point)
-            if self.load_artifact(key) is not None:
+            if self.artifacts.verify(key, _artifact_fields()):
                 status[cp.index] = {"artifact": key}
         return status
 
     # -- result artifacts ---------------------------------------------------
 
-    def _artifact_paths(self, key: str) -> tuple[Path, Path]:
-        return (
-            self.artifacts_dir / f"{key}.bin",
-            self.artifacts_dir / f"{key}.json",
-        )
-
     def store_artifact(self, key: str, payload: bytes) -> None:
-        bin_path, meta_path = self._artifact_paths(key)
-        sidecar = {
-            "registry_version": REGISTRY_VERSION,
-            "result_cache_version": RESULT_CACHE_VERSION,
-            "key": key,
-            "size": len(payload),
-            "sha256": hashlib.sha256(payload).hexdigest(),
-        }
-        _atomic_write(bin_path, payload)
-        _atomic_write(meta_path, dump_json(sidecar).encode("utf-8"))
+        self.artifacts.put(key, payload, _artifact_fields())
 
     def load_artifact(self, key: str) -> bytes | None:
         """The stored payload, or ``None`` (corruption => recompute)."""
-        bin_path, meta_path = self._artifact_paths(key)
-        try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            if (
-                meta.get("registry_version") != REGISTRY_VERSION
-                or meta.get("result_cache_version") != RESULT_CACHE_VERSION
-                or meta.get("key") != key
-            ):
-                return None
-            payload = bin_path.read_bytes()
-            if (
-                len(payload) != meta.get("size")
-                or hashlib.sha256(payload).hexdigest() != meta.get("sha256")
-            ):
-                raise ValueError("artifact checksum mismatch")
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError) as exc:
-            metrics.inc("campaign_store.corrupt_recompute", kind="artifact")
-            log.warning(
-                "campaign %s: corrupt artifact %s (%s: %s); recomputing",
-                self.id[:12],
-                key[:12],
-                type(exc).__name__,
-                exc,
-            )
-            return None
-        return payload
+        return self.artifacts.get(key, _artifact_fields())
 
     # -- progress and results -----------------------------------------------
 
@@ -382,7 +314,7 @@ class Campaign:
                 "points; resume it before writing results"
             )
         data = b"".join(self.result_lines(status))
-        _atomic_write(self.results_path, data)
+        atomic_write(self.results_path, data)
         summary = {
             "schema": CAMPAIGN_SUMMARY_SCHEMA,
             "campaign": self.id,
@@ -394,7 +326,7 @@ class Campaign:
         }
         if self.name is not None:
             summary["name"] = self.name
-        _atomic_write(self.summary_path, dump_json(summary).encode("utf-8"))
+        atomic_write(self.summary_path, dump_json(summary).encode("utf-8"))
         return self.results_path
 
     def describe(
@@ -536,11 +468,11 @@ class CampaignRegistry:
             "results_sha256": hashlib.sha256(results).hexdigest(),
         }
         target.mkdir(parents=True, exist_ok=True)
-        _atomic_write(
+        atomic_write(
             target / "spec.json", spec_mod.canonical_bytes(campaign.spec)
         )
-        _atomic_write(target / "results.jsonl", results)
-        _atomic_write(target / "baseline.json", dump_json(doc).encode("utf-8"))
+        atomic_write(target / "results.jsonl", results)
+        atomic_write(target / "baseline.json", dump_json(doc).encode("utf-8"))
         return target
 
     def baselines(self) -> list[dict[str, Any]]:

@@ -34,18 +34,17 @@ MANIFEST_SCHEMA = "repro.obs.manifest/1"
 VOLATILE_KEYS = ("provenance", "wall_time_s")
 
 #: Diagnostic-only counters that may legitimately differ between
-#: otherwise identical runs (e.g. a corrupt events-store entry on one
-#: machine triggers a silent re-extract, and phase-1 engine dispatches
-#: only fire on store misses — cold runs count them, warm runs never
-#: reach the dispatcher).  :func:`stable_view` strips them — matched on
-#: the counter's base name, before any ``{label=...}`` suffix — so the
+#: otherwise identical runs (e.g. a corrupt entry in any durable store,
+#: ``store.corrupt_recompute{store=...}``, on one machine triggers a
+#: silent recompute, and phase-1 engine dispatches only fire on store
+#: misses — cold runs count them, warm runs never reach the
+#: dispatcher).  :func:`stable_view` strips them — matched on the
+#: counter's base name, before any ``{label=...}`` suffix — so the
 #: cold/warm snapshot-identity contract is judged on the deterministic
 #: remainder.
 DIAGNOSTIC_COUNTERS = frozenset(
     {
-        "events_store.corrupt_reextract",
-        "reuse_store.corrupt_reextract",
-        "result_store.corrupt_recompute",
+        "store.corrupt_recompute",
         "engine.phase1.dispatches",
     }
 )

@@ -8,12 +8,14 @@ offline consumers (``python -m repro obs timeline``) can assemble
 fleet-wide timelines long after the workers exited, and a SIGKILL loses
 at most the lines the OS had not flushed.
 
-Write discipline follows :mod:`repro.cache.events_store`:
+Write discipline:
 
 * the active file is append-only (``active.jsonl``); a full segment is
-  finalized with an atomic ``os.replace`` to ``segment-NNNNNN.jsonl``
-  plus a checksum sidecar (``.sha256.json``) written via temp-file +
-  rename, so a reader never observes a half-renamed segment;
+  sealed by writing its checksum sidecar (``.sha256.json``), then the
+  segment itself (``segment-NNNNNN.jsonl``), each with
+  :func:`repro.util.blobstore.atomic_write`, and only then removing the
+  active file — so a reader never observes a partial segment, and a
+  crash mid-seal at worst seals the same lines twice;
 * rotation is byte-budgeted: segments roll at ``segment_bytes`` and the
   oldest are pruned once the directory exceeds ``budget_bytes``;
 * spool failures never fail serving — an append that cannot reach disk
@@ -31,12 +33,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Iterator
 
+from repro.util.blobstore import atomic_write
 from repro.util.jsonout import dump_json_line
 
 #: Schema tag carried by every spool line.
@@ -54,23 +55,6 @@ DEFAULT_BUDGET_BYTES = 16 << 20
 _ACTIVE_NAME = "active.jsonl"
 _SEGMENT_PREFIX = "segment-"
 _SIDECAR_SUFFIX = ".sha256.json"
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` via temp file + atomic rename."""
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except OSError:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 class SpanSpool:
@@ -181,17 +165,18 @@ class SpanSpool:
         data = active.read_bytes()
         segment = self.directory / f"{_SEGMENT_PREFIX}{self._next_segment:06d}.jsonl"
         self._next_segment += 1
-        os.replace(active, segment)
         sidecar = {
             "schema": SEGMENT_SIDECAR_SCHEMA,
             "sha256": hashlib.sha256(data).hexdigest(),
             "bytes": len(data),
             "records": data.count(b"\n"),
         }
-        _atomic_write_text(
+        atomic_write(
             segment.with_name(segment.name + _SIDECAR_SUFFIX),
-            dump_json_line(sidecar) + "\n",
+            (dump_json_line(sidecar) + "\n").encode("utf-8"),
         )
+        atomic_write(segment, data)
+        active.unlink()
         self._prune()
         return segment
 

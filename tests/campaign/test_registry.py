@@ -106,7 +106,7 @@ class TestStateRecovery:
             metrics.disable_metrics()
         assert campaign.progress(status)["done"] == 2
         assert (
-            collected.counter("campaign_store.corrupt_recompute", kind="state")
+            collected.counter("store.corrupt_recompute", store="campaign_state")
             == 1
         )
 
@@ -132,7 +132,7 @@ class TestStateRecovery:
         assert campaign.progress(status)["done"] == 2
         # Absence is normal (a never-run campaign), not corruption.
         assert (
-            collected.counter("campaign_store.corrupt_recompute", kind="state")
+            collected.counter("store.corrupt_recompute", store="campaign_state")
             == 0
         )
 
@@ -154,9 +154,7 @@ class TestArtifacts:
         finally:
             metrics.disable_metrics()
         assert (
-            collected.counter(
-                "campaign_store.corrupt_recompute", kind="artifact"
-            )
+            collected.counter("store.corrupt_recompute", store="campaign")
             == 1
         )
         # A lost artifact reopens its point: the results stream drops

@@ -317,7 +317,7 @@ class TestExposition:
 class TestEngineCounterExposition:
     """Audit: the engine's dispatch and corruption counters must render
     as labelled Prometheus families, exactly as the emit sites write
-    them (events_store, replay, reuse_store)."""
+    them (events_store, replay, every durable store)."""
 
     def _registry(self):
         from repro.obs.metrics import MetricsRegistry
@@ -331,8 +331,8 @@ class TestEngineCounterExposition:
             "engine.phase1.dispatches", engine="step", reason="disabled"
         )
         registry.inc("engine.step_fallback.dispatches", reason="bus_locked")
-        registry.inc("events_store.corrupt_reextract")
-        registry.inc("reuse_store.corrupt_reextract")
+        registry.inc("store.corrupt_recompute", store="events")
+        registry.inc("store.corrupt_recompute", store="reuse")
         return registry
 
     def test_dispatch_counters_render_with_labels(self):
@@ -354,12 +354,10 @@ class TestEngineCounterExposition:
         samples = parse_exposition(
             render_prometheus(self._registry().snapshot())
         )
-        assert samples["repro_events_store_corrupt_reextract_total"] == [
-            ({}, 1.0)
-        ]
-        assert samples["repro_reuse_store_corrupt_reextract_total"] == [
-            ({}, 1.0)
-        ]
+        assert sorted(
+            (labels["store"], value)
+            for labels, value in samples["repro_store_corrupt_recompute_total"]
+        ) == [("events", 1.0), ("reuse", 1.0)]
 
     def test_module_level_inc_reaches_the_exposition(self):
         """The engines emit through ``metrics.inc(...)`` with keyword

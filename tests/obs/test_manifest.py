@@ -90,8 +90,9 @@ class TestStability:
         labeled ones, matched on the base name before '{' — vanish from
         the stable view; everything else survives untouched."""
         snapshot = _snapshot()
-        snapshot["counters"]["events_store.corrupt_reextract"] = 1
-        snapshot["counters"]["reuse_store.corrupt_reextract"] = 2
+        snapshot["counters"]["store.corrupt_recompute{store=events}"] = 1
+        snapshot["counters"]["store.corrupt_recompute{store=reuse}"] = 2
+        snapshot["counters"]["store.corrupt_recompute{store=campaign}"] = 1
         snapshot["counters"][
             "engine.phase1.dispatches{engine=reuse,reason=lru_wb_wa}"
         ] = 7
@@ -106,9 +107,13 @@ class TestStability:
                 manifest.DIAGNOSTIC_COUNTERS
             )
         assert remaining["eq2.total_cycles"] == 1000.0
+        assert manifest.DIAGNOSTIC_COUNTERS == {
+            "store.corrupt_recompute",
+            "engine.phase1.dispatches",
+        }
         # The input document is not mutated.
         assert (
-            "reuse_store.corrupt_reextract"
+            "store.corrupt_recompute{store=reuse}"
             in document["metrics"]["counters"]
         )
 

@@ -45,10 +45,14 @@ class TestRoundTrip:
 
 
 class TestCorruption:
-    def test_truncated_payload_is_a_silent_miss(self, cache):
-        cache.put("k1", b"full payload bytes")
+    def test_flipped_bit_is_a_counted_miss(self, cache):
+        """One flipped bit keeps the payload's size: only the checksum
+        stops the tier from serving the wrong answer."""
+        cache.put("k1", b'{"cycles": 42}')
         bin_path = cache.directory / "k1.bin"
-        bin_path.write_bytes(b"trunc")
+        flipped = bytearray(bin_path.read_bytes())
+        flipped[-2] ^= 0x01  # "42" -> "43"
+        bin_path.write_bytes(bytes(flipped))
         registry = metrics.enable_metrics()
         try:
             assert cache.get("k1") is None
@@ -56,7 +60,7 @@ class TestCorruption:
             metrics.disable_metrics()
         assert cache.misses == 1
         counters = registry.snapshot()["counters"]
-        assert counters.get("result_store.corrupt_recompute") == 1
+        assert counters.get("store.corrupt_recompute{store=results}") == 1
 
     def test_garbage_sidecar_is_a_silent_miss(self, cache):
         cache.put("k1", b"payload")
@@ -76,7 +80,7 @@ class TestCorruption:
             metrics.disable_metrics()
         # Skew is expected across upgrades — no corruption diagnostic.
         counters = registry.snapshot()["counters"]
-        assert "result_store.corrupt_recompute" not in counters
+        assert "store.corrupt_recompute{store=results}" not in counters
 
     def test_recovery_by_rewrite(self, cache):
         cache.put("k1", b"payload")

@@ -86,6 +86,20 @@ class ScriptedServer:
                         if not chunk:
                             break
                         data += chunk
+                    # Drain the body before replying: closing a socket
+                    # that still holds unread input sends a RST, which
+                    # can overtake the response on its way out.
+                    head, _, body = data.partition(b"\r\n\r\n")
+                    length = 0
+                    for line in head.split(b"\r\n")[1:]:
+                        name, _, value = line.partition(b":")
+                        if name.strip().lower() == b"content-length":
+                            length = int(value)
+                    while len(body) < length:
+                        chunk = conn.recv(65536)
+                        if not chunk:
+                            break
+                        body += chunk
                     response = (
                         self.responses.pop(0) if self.responses else _ok(b"")
                     )

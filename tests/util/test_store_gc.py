@@ -1,4 +1,4 @@
-"""Shared store eviction: scanning, planning, the ``cache gc`` CLI."""
+"""Store eviction: entry scans, planning, the ``cache gc`` CLI."""
 
 import os
 import time
@@ -6,14 +6,8 @@ import time
 import pytest
 
 from repro.util import store_gc
-from repro.util.store_gc import (
-    ORPHAN_GRACE_S,
-    StoreEntry,
-    StoreSpec,
-    gc_store,
-    plan_evictions,
-    scan_store,
-)
+from repro.util.blobstore import BlobStore, Entry, plan_evictions
+from repro.util.store_gc import ORPHAN_GRACE_S, gc_store
 
 
 def _pair(directory, key, size, age_s, payload_suffix=".bin"):
@@ -32,31 +26,31 @@ class TestScan:
         _pair(tmp_path, "aa", 10, 100)
         _pair(tmp_path, "bb", 20, 50)
         (tmp_path / "cc.bin").write_bytes(b"orphan")  # no sidecar
-        entries, orphans = scan_store(tmp_path, ".bin", ".json")
+        (tmp_path / "dd.binx1y2.tmp").write_bytes(b"killed mid-write")
+        entries, orphans = BlobStore(tmp_path, "results", ".bin").entries()
         assert sorted(e.key for e in entries) == ["aa", "bb"]
         assert {e.key: e.size for e in entries} == {"aa": 10, "bb": 20}
-        assert [p.name for p in orphans] == ["cc.bin"]
+        assert sorted(p.name for p in orphans) == ["cc.bin", "dd.binx1y2.tmp"]
 
-    def test_exclude_suffix_skips_colocated_store(self, tmp_path):
-        # The reuse store's .profile.npz files live in the events dir.
+    def test_reuse_subdirectory_is_not_an_events_entry(self, tmp_path):
+        # Reuse profiles live in <events dir>/reuse/, out of the scan.
         _pair(tmp_path, "ev", 10, 10, payload_suffix=".npz")
-        (tmp_path / "pr.profile.npz").write_bytes(b"x")
-        (tmp_path / "pr.profile.json").write_text("{}")
-        entries, orphans = scan_store(
-            tmp_path, ".npz", ".json", exclude_suffix=".profile.npz"
-        )
+        (tmp_path / "reuse").mkdir()
+        _pair(tmp_path / "reuse", "pr", 10, 10, payload_suffix=".npz")
+        entries, orphans = BlobStore(tmp_path, "events", ".npz").entries()
         assert [e.key for e in entries] == ["ev"]
         assert orphans == []
 
     def test_missing_directory_is_empty(self, tmp_path):
-        entries, orphans = scan_store(tmp_path / "nope", ".bin", ".json")
+        store = BlobStore(tmp_path / "nope", "results", ".bin")
+        entries, orphans = store.entries()
         assert entries == [] and orphans == []
 
 
 class TestPlan:
     def _entries(self, sizes_and_mtimes):
         return [
-            StoreEntry(
+            Entry(
                 key=f"k{i}",
                 payload=None,
                 sidecar=None,
@@ -84,7 +78,7 @@ class TestPlan:
 
 class TestGcStore:
     def _spec(self, directory):
-        return StoreSpec("results", directory, ".bin", ".json")
+        return BlobStore(directory, "results", ".bin")
 
     def test_dry_run_reports_without_unlinking(self, tmp_path):
         _pair(tmp_path, "old", 100, 1000)
@@ -145,6 +139,10 @@ class TestCli:
     def test_shares_the_planner_with_the_disk_cache(self):
         from repro.service import disk_cache
 
-        # The online and offline paths must agree on "oldest first":
-        # both route through the same plan_evictions.
-        assert disk_cache.store_gc is store_gc
+        # The online and offline paths must agree on "oldest first"
+        # and on where files live: both route through the same
+        # plan_evictions over the same BlobStore layout.
+        assert disk_cache.plan_evictions is store_gc.plan_evictions
+        stores = store_gc.known_stores()
+        assert stores["results"].directory == disk_cache.resolve_cache_dir(None)
+        assert stores["reuse"].directory.parent == stores["events"].directory
