@@ -371,15 +371,13 @@ def run_capacity_section() -> dict:
     events-store directory, so phase-1 extraction for the capacity trace
     is paid once.
     """
-    single_config = ServerConfig(batch_window_s=0.002, shed_watermark=32)
+    single_config = ServerConfig(shed_watermark=32)
     with ServerThread(single_config, registry=metrics.MetricsRegistry()) as handle:
         probe = ServiceClient("127.0.0.1", handle.port)
         probe.wait_ready()
         probe.close()
         single = run_capacity(handle.port, workers=1)
-    fleet_config = FleetConfig(
-        base=ServerConfig(batch_window_s=0.002, shed_watermark=32), workers=2
-    )
+    fleet_config = FleetConfig(base=ServerConfig(shed_watermark=32), workers=2)
     with FleetThread(fleet_config, registry=metrics.MetricsRegistry()) as handle:
         probe = ServiceClient("127.0.0.1", handle.port)
         probe.wait_ready(timeout=30.0)
@@ -444,7 +442,7 @@ def collect() -> dict:
     os.environ[EVENTS_CACHE_DIR_ENV] = store_dir
     if metrics.metrics_enabled():
         metrics.disable_metrics()
-    config = ServerConfig(batch_window_s=0.002)
+    config = ServerConfig()
     handle = ServerThread(config)  # shares the global metrics registry so
     try:  # engine dispatch counters land in the same snapshot
         handle.start()
@@ -492,7 +490,6 @@ def collect() -> dict:
             "schema": BENCH_SERVICE_SCHEMA,
             "server": {
                 "queue_limit": config.queue_limit,
-                "batch_window_ms": config.batch_window_s * 1000.0,
                 "result_cache_bytes": config.result_cache_bytes,
                 "events_memo_entries": config.events_memo_entries,
             },

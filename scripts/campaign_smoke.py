@@ -62,7 +62,7 @@ def launch_fleet(
 ) -> tuple[subprocess.Popen, int]:
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--batch-window-ms", "1", "--workers", str(workers),
+         "--workers", str(workers),
          "--campaign-dir", str(registry),
          "--span-spool-dir", str(span_spool)],
         stdout=subprocess.PIPE,

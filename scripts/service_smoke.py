@@ -81,7 +81,7 @@ ANALYTIC_REQUESTS = [
 def launch_server(access_log: Path, workers: int = 1) -> tuple[subprocess.Popen, int]:
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--batch-window-ms", "1", "--access-log", str(access_log),
+         "--access-log", str(access_log),
          "--workers", str(workers)],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,

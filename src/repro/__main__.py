@@ -179,12 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="max simulate requests queued or computing before 429s",
     )
     serve.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=2.0,
-        help="how long the scheduler waits for requests to coalesce",
-    )
-    serve.add_argument(
         "--result-cache-mib",
         type=float,
         default=8.0,
@@ -409,7 +403,6 @@ def _cmd_serve(options: argparse.Namespace) -> int:
         host=options.host,
         port=options.port,
         queue_limit=options.queue_limit,
-        batch_window_s=options.batch_window_ms / 1000.0,
         result_cache_bytes=int(options.result_cache_mib * 1024 * 1024),
         default_deadline_s=options.default_deadline_s,
         access_log_path=options.access_log,

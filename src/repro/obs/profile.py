@@ -59,7 +59,7 @@ from repro.obs import tracing
 PROFILE_SCHEMA = "repro.obs.profile/1"
 
 #: Default sampling rate.  Prime, so the sampler cannot lock step with
-#: periodic work (batch windows, bucket boundaries) and systematically
+#: periodic work (supervisor polls, bucket boundaries) and systematically
 #: over- or under-sample one phase.
 DEFAULT_HZ = 97
 

@@ -14,8 +14,11 @@ Write discipline:
   sealed by writing its checksum sidecar (``.sha256.json``), then the
   segment itself (``segment-NNNNNN.jsonl``), each with
   :func:`repro.util.blobstore.atomic_write`, and only then removing the
-  active file — so a reader never observes a partial segment, and a
-  crash mid-seal at worst seals the same lines twice;
+  active file — so a reader never observes a partial segment.  A
+  successor seals an active file its predecessor left behind, unless
+  the newest segment's sidecar already records that file's checksum
+  (the predecessor died after sealing it but before removing it): then
+  the leftover is deleted, so no line is sealed twice;
 * rotation is byte-budgeted: segments roll at ``segment_bytes`` and the
   oldest are pruned once the directory exceeds ``budget_bytes``;
 * spool failures never fail serving — an append that cannot reach disk
@@ -82,12 +85,18 @@ class SpanSpool:
         self._next_segment = self._scan_next_segment()
         # An active file left behind by a killed predecessor is sealed
         # into a segment first, so its lines survive the restart and the
-        # new process starts from a clean active file.
+        # new process starts from a clean active file.  If the newest
+        # segment already holds those bytes, the predecessor died
+        # between sealing and removing it: delete the leftover instead.
         leftover = self.directory / _ACTIVE_NAME
         self._handle = None
         self._active_bytes = 0
         if leftover.exists() and leftover.stat().st_size > 0:
-            self._finalize(leftover)
+            digest = hashlib.sha256(leftover.read_bytes()).hexdigest()
+            if digest == self._newest_sealed_digest():
+                leftover.unlink()
+            else:
+                self._finalize(leftover)
         self._open_active()
 
     # -- write side ---------------------------------------------------------
@@ -160,6 +169,17 @@ class SpanSpool:
             for path in self.directory.glob(f"{_SEGMENT_PREFIX}*.jsonl")
             if not path.name.endswith(_SIDECAR_SUFFIX)
         )
+
+    def _newest_sealed_digest(self) -> str | None:
+        """The sha256 the newest segment's sidecar records, if any."""
+        segments = self._segments()
+        if not segments:
+            return None
+        sidecar = segments[-1].with_name(segments[-1].name + _SIDECAR_SUFFIX)
+        try:
+            return json.loads(sidecar.read_text()).get("sha256")
+        except (OSError, ValueError):
+            return None
 
     def _finalize(self, active: Path) -> Path:
         data = active.read_bytes()

@@ -89,10 +89,10 @@ class FleetConfig:
     """One fleet: the router's own server config plus fleet knobs.
 
     ``base`` configures the router process (listen address, limits,
-    access log) *and* is the template for workers: queue limits, batch
-    window, caches, shed watermark, and keep-alive timeout are passed
-    through to each worker process; workers always bind port 0 on
-    loopback and get ``worker_id`` ``w0..wN-1``.
+    access log) *and* is the template for workers: queue limits,
+    caches, shed watermark, and keep-alive timeout are passed through
+    to each worker process; workers always bind port 0 on loopback and
+    get ``worker_id`` ``w0..wN-1``.
     """
 
     base: ServerConfig = field(default_factory=ServerConfig)
@@ -152,8 +152,6 @@ class WorkerHandle:
             self.name,
             "--queue-limit",
             str(base.queue_limit),
-            "--batch-window-ms",
-            f"{base.batch_window_s * 1000.0:g}",
             "--result-cache-mib",
             f"{base.result_cache_bytes / (1024 * 1024):g}",
             "--default-deadline-s",

@@ -53,7 +53,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = pick a free port (tests, load generator)
     queue_limit: int = 64
-    batch_window_s: float = 0.002
     result_cache_bytes: int = 8 * 1024 * 1024
     default_deadline_s: float = 30.0
     events_memo_entries: int = 8
@@ -144,7 +143,6 @@ class ReproServer:
         self.batcher = MicroBatcher(
             self.registry,
             max_pending=self.config.queue_limit,
-            batch_window_s=self.config.batch_window_s,
             events_memo_entries=self.config.events_memo_entries,
         )
         self.batcher.start()

@@ -32,9 +32,7 @@ def test_campaign_survives_a_worker_sigkill(tmp_path, monkeypatch):
     registry_dir = tmp_path / "router-reg"
     monkeypatch.setenv(CAMPAIGN_DIR_ENV, str(registry_dir))
     config = FleetConfig(
-        base=ServerConfig(
-            batch_window_s=0.001, campaign_dir=str(registry_dir)
-        ),
+        base=ServerConfig(campaign_dir=str(registry_dir)),
         workers=2,
     )
     with FleetThread(config) as handle:

@@ -42,9 +42,7 @@ def campaign_server(tmp_path, monkeypatch):
     # The env override beats the configured path, so aim both at the
     # same per-test directory.
     monkeypatch.setenv(CAMPAIGN_DIR_ENV, str(registry_dir))
-    config = ServerConfig(
-        batch_window_s=0.001, campaign_dir=str(registry_dir)
-    )
+    config = ServerConfig(campaign_dir=str(registry_dir))
     with ServerThread(config) as handle:
         client = ServiceClient("127.0.0.1", handle.port)
         client.wait_ready(timeout=30.0)
@@ -54,7 +52,7 @@ def campaign_server(tmp_path, monkeypatch):
 
 class TestDisabled:
     def test_endpoints_answer_503_without_campaign_dir(self):
-        with ServerThread(ServerConfig(batch_window_s=0.001)) as handle:
+        with ServerThread(ServerConfig()) as handle:
             client = ServiceClient("127.0.0.1", handle.port)
             try:
                 client.wait_ready(timeout=30.0)
@@ -156,9 +154,7 @@ class TestRestart:
             ],
             "memory_cycles": [4.0, 8.0, 16.0],
         }  # 12 points: wide enough to catch mid-run
-        config = ServerConfig(
-            batch_window_s=0.001, campaign_dir=str(registry_dir)
-        )
+        config = ServerConfig(campaign_dir=str(registry_dir))
         with ServerThread(config) as handle:
             client = ServiceClient("127.0.0.1", handle.port)
             client.wait_ready(timeout=30.0)

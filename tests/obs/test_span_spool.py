@@ -9,6 +9,9 @@ costs observability, not serving.
 
 import json
 import os
+from pathlib import Path
+
+import pytest
 
 from repro.obs.cli import assemble_timeline, main as obs_cli_main
 from repro.obs.span_spool import (
@@ -99,6 +102,32 @@ class TestSpoolWrites:
         counts = validate_spool(str(tmp_path))
         assert counts["segments"] == 2
         assert counts["records"] == 2
+
+    def test_leftover_already_sealed_is_not_sealed_twice(
+        self, tmp_path, monkeypatch
+    ):
+        first = SpanSpool(str(tmp_path))
+        for i in range(3):
+            first.append(span_event(ts=float(i)))
+        real_unlink = Path.unlink
+        killed = []
+
+        def unlink(path, *args, **kwargs):
+            if path.name == "active.jsonl" and not killed:
+                killed.append(path)
+                raise OSError("killed between sealing and unlinking")
+            return real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", unlink)
+        # The segment is written, but the active file holding the same
+        # lines survives: the predecessor died mid-rotation.
+        with pytest.raises(OSError):
+            first.rotate()
+        second = SpanSpool(str(tmp_path))
+        second.close()
+        seqs = [record["seq"] for record in read_spool(str(tmp_path))]
+        assert seqs == [0, 1, 2]  # each line read exactly once
+        assert validate_spool(str(tmp_path)) == {"segments": 1, "records": 3}
 
     def test_unserializable_span_is_dropped_not_raised(self, tmp_path):
         spool = SpanSpool(str(tmp_path))

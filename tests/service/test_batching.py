@@ -1,26 +1,23 @@
 """The micro-batch scheduler, exercised with injected compute."""
 
 import asyncio
+import threading
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.service.batching import EventsMemo, MicroBatcher, QueueFullError
+from tests.service.conftest import Phase1Gate
 
 
 class Recorder:
     """Injected phase-1/phase-2 with call accounting."""
 
-    def __init__(self, resolve_delay: float = 0.0) -> None:
+    def __init__(self) -> None:
         self.resolved: list[str] = []
         self.computed: list[dict] = []
-        self.resolve_delay = resolve_delay
 
     def resolve(self, params):
-        import time
-
-        if self.resolve_delay:
-            time.sleep(self.resolve_delay)
         self.resolved.append(params["key"])
         return f"events:{params['key']}"
 
@@ -32,13 +29,8 @@ class Recorder:
 
 def make_batcher(recorder, registry=None, **kwargs):
     registry = registry or MetricsRegistry()
-    kwargs.setdefault("batch_window_s", 0.005)
-    batcher = MicroBatcher(
-        registry,
-        resolve_events=recorder.resolve,
-        compute=recorder.compute,
-        **kwargs,
-    )
+    kwargs.setdefault("resolve_events", recorder.resolve)
+    batcher = MicroBatcher(registry, compute=recorder.compute, **kwargs)
     # The scheduler groups on the real events key in production; tests
     # inject a trivial key function via params["key"].
     return batcher, registry
@@ -122,6 +114,68 @@ class TestCoalescing:
         assert counters["service.events_memo.miss"] == 1
 
 
+class TestWorkConserving:
+    def test_lone_submit_is_handed_over_without_a_timer(self, monkeypatch):
+        recorder = Recorder()
+        threads: list[str] = []
+        timers: list[float] = []
+        real_sleep = asyncio.sleep
+
+        def resolve(params):
+            threads.append(threading.current_thread().name)
+            return recorder.resolve(params)
+
+        async def timed_sleep(delay, result=None):
+            timers.append(delay)
+            return await real_sleep(delay, result)
+
+        async def run():
+            batcher, registry = make_batcher(recorder, resolve_events=resolve)
+            batcher.start()
+            monkeypatch.setattr(asyncio, "sleep", timed_sleep)
+            result = await batcher.submit({"key": "k", "value": 1})
+            await batcher.drain()
+            return result, registry
+
+        result, registry = asyncio.run(run())
+        assert result == {"key": "k", "value": 1}
+        assert timers == []  # no batch window on the way in
+        assert len(threads) == 1 and threads[0].startswith("repro-batch")
+        assert registry.snapshot()["counters"]["service.batch.batches"] == 1
+
+    def test_arrivals_during_a_batch_form_the_next_one(self):
+        recorder = Recorder()
+        gate = Phase1Gate(recorder.resolve)
+
+        async def run():
+            batcher, registry = make_batcher(recorder, resolve_events=gate)
+            batcher.start()
+            first = asyncio.ensure_future(
+                batcher.submit({"key": "k", "value": 0})
+            )
+            assert await asyncio.to_thread(gate.entered.wait, 10.0)
+            # Three more for the same key arrive while the first computes.
+            rest = [
+                asyncio.ensure_future(batcher.submit({"key": "k", "value": i}))
+                for i in (1, 2, 3)
+            ]
+            await asyncio.sleep(0)
+            assert batcher.queue_depth == 4
+            gate.release()
+            results = await asyncio.gather(first, *rest)
+            await batcher.drain()
+            return results, registry
+
+        results, registry = asyncio.run(run())
+        assert [r["value"] for r in results] == [0, 1, 2, 3]
+        assert recorder.resolved == ["k"]
+        counters = registry.snapshot()["counters"]
+        assert counters["service.batch.batches"] == 2
+        assert counters["service.batch.coalesced"] == 2
+        assert counters["service.phase1.resolves"] == 1
+        assert counters["service.events_memo.hit"] == 1
+
+
 class TestTraceCoalescing:
     def test_geometry_fan_counts_one_trace_group(self):
         recorder = Recorder()
@@ -190,11 +244,12 @@ class TestTraceCoalescing:
 
 class TestBackpressure:
     def test_queue_limit_rejects_immediately(self):
-        recorder = Recorder(resolve_delay=0.05)
+        recorder = Recorder()
+        gate = Phase1Gate(recorder.resolve)
 
         async def run():
             batcher, registry = make_batcher(
-                recorder, max_pending=2, batch_window_s=0.2
+                recorder, max_pending=2, resolve_events=gate
             )
             batcher.start()
             first = asyncio.ensure_future(
@@ -203,9 +258,11 @@ class TestBackpressure:
             second = asyncio.ensure_future(
                 batcher.submit({"key": "b", "value": 2})
             )
-            await asyncio.sleep(0.01)  # both now pending in the window
+            assert await asyncio.to_thread(gate.entered.wait, 10.0)
+            # Both now pending: one held in phase 1, one behind it.
             with pytest.raises(QueueFullError):
                 await batcher.submit({"key": "c", "value": 3})
+            gate.release()
             await asyncio.gather(first, second)
             await batcher.drain()
             return registry
@@ -282,9 +339,10 @@ class TestFailurePaths:
 
     def test_cancelled_request_is_skipped_not_raced(self):
         recorder = Recorder()
+        gate = Phase1Gate(recorder.resolve)
 
         async def run():
-            batcher, registry = make_batcher(recorder, batch_window_s=0.05)
+            batcher, registry = make_batcher(recorder, resolve_events=gate)
             batcher.start()
             doomed = asyncio.ensure_future(
                 batcher.submit({"key": "k", "value": 1})
@@ -292,8 +350,9 @@ class TestFailurePaths:
             survivor = asyncio.ensure_future(
                 batcher.submit({"key": "k", "value": 2})
             )
-            await asyncio.sleep(0.01)
+            assert await asyncio.to_thread(gate.entered.wait, 10.0)
             doomed.cancel()  # deadline path: handler abandons the wait
+            gate.release()  # phase 1 done; phase 2 must skip the doomed
             result = await survivor
             with pytest.raises(asyncio.CancelledError):
                 await doomed

@@ -24,7 +24,6 @@ TRACEPARENT = format_traceparent(TRACE_ID, PARENT_SPAN)
 def handle(tmp_path_factory):
     base = tmp_path_factory.mktemp("tracing")
     config = ServerConfig(
-        batch_window_s=0.001,
         access_log_path=str(base / "access.jsonl"),
         span_spool_dir=str(base / "spans"),
     )

@@ -39,9 +39,7 @@ CACHES = [
 
 @pytest.fixture(scope="module")
 def fleet():
-    config = FleetConfig(
-        base=ServerConfig(batch_window_s=0.001), workers=2
-    )
+    config = FleetConfig(base=ServerConfig(), workers=2)
     with FleetThread(config) as handle:
         client = ServiceClient("127.0.0.1", handle.port)
         client.wait_ready(timeout=30.0)
@@ -325,9 +323,7 @@ class TestWarmBoot:
 
         monkeypatch.setenv(RESULT_CACHE_DIR_ENV, str(tmp_path))
         params = dict(trace=TRACE, policy="BL", memory_cycle=12.0)
-        config = ServerConfig(
-            batch_window_s=0.001, disk_cache_dir=str(tmp_path)
-        )
+        config = ServerConfig(disk_cache_dir=str(tmp_path))
         with ServerThread(config) as first:
             client = ServiceClient("127.0.0.1", first.port)
             client.wait_ready()
@@ -350,9 +346,7 @@ class TestWarmBoot:
 
         monkeypatch.setenv(RESULT_CACHE_DIR_ENV, str(tmp_path))
         params = dict(trace=TRACE, policy="FS", memory_cycle=48.0)
-        config = ServerConfig(
-            batch_window_s=0.001, disk_cache_dir=str(tmp_path)
-        )
+        config = ServerConfig(disk_cache_dir=str(tmp_path))
         with ServerThread(config) as first:
             client = ServiceClient("127.0.0.1", first.port)
             client.wait_ready()

@@ -22,9 +22,7 @@ TRACE = {"kind": "spec92", "name": "swm256", "instructions": 2000, "seed": 7}
 @pytest.fixture(scope="module")
 def handle(tmp_path_factory):
     access_log = tmp_path_factory.mktemp("obs") / "access.jsonl"
-    config = ServerConfig(
-        batch_window_s=0.001, access_log_path=str(access_log)
-    )
+    config = ServerConfig(access_log_path=str(access_log))
     handle = ServerThread(config, registry=MetricsRegistry()).start()
     probe = ServiceClient("127.0.0.1", handle.port)
     probe.wait_ready()
@@ -310,7 +308,7 @@ class TestTracerLifecycle:
             tracing.install_tracer(previous)
 
     def test_server_installs_and_removes_its_ring(self):
-        config = ServerConfig(batch_window_s=0.001)
+        config = ServerConfig()
         handle = ServerThread(config, registry=MetricsRegistry()).start()
         try:
             probe = ServiceClient("127.0.0.1", handle.port)
@@ -323,7 +321,7 @@ class TestTracerLifecycle:
 
     def test_externally_installed_tracer_is_preserved(self):
         mine = tracing.install_tracer(RingTracer(capacity=32))
-        config = ServerConfig(batch_window_s=0.001)
+        config = ServerConfig()
         handle = ServerThread(config, registry=MetricsRegistry()).start()
         try:
             assert tracing.current_tracer() is mine
@@ -333,7 +331,7 @@ class TestTracerLifecycle:
         tracing.disable_tracing()
 
     def test_disabled_ring_leaves_tracing_off(self):
-        config = ServerConfig(batch_window_s=0.001, span_ring_capacity=0)
+        config = ServerConfig(span_ring_capacity=0)
         handle = ServerThread(config, registry=MetricsRegistry()).start()
         try:
             with ServiceClient("127.0.0.1", handle.port) as client:

@@ -14,14 +14,22 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.service import ServerConfig, ServerThread, ServiceClient, ServiceError
+from tests.service.conftest import Phase1Gate
 
 SLOW_TRACE = {"kind": "matmul", "n": 64}  # ~1s+ of cold phase-1 extraction
 QUICK_TRACE = {"kind": "spec92", "name": "swm256", "instructions": 2000, "seed": 7}
 
 
 def start_server(**overrides):
-    config = ServerConfig(**{"batch_window_s": 0.001, **overrides})
+    config = ServerConfig(**overrides)
     return ServerThread(config, registry=MetricsRegistry()).start()
+
+
+def wait_until(predicate, timeout_s: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
 
 
 def raw_request(port, payload: bytes, path="/v1/simulate", method="POST"):
@@ -88,9 +96,10 @@ class TestDeadlines:
 
 class TestBackpressure:
     def test_full_queue_answers_429_not_hangs(self):
-        # queue_limit=1 and a long batch window: the first request parks
-        # in the window, the second must bounce immediately.
-        handle = start_server(queue_limit=1, batch_window_s=0.5)
+        # queue_limit=1 and a gated phase 1: the first request is held
+        # computing, the second must bounce immediately.
+        handle = start_server(queue_limit=1)
+        gate = Phase1Gate.install(handle.server)
         try:
             first_result = {}
 
@@ -105,24 +114,27 @@ class TestBackpressure:
             client.wait_ready()
             thread = threading.Thread(target=first)
             thread.start()
-            time.sleep(0.1)  # first request is now queued in the window
+            assert gate.entered.wait(10.0)  # first request now computing
             started = time.monotonic()
             with pytest.raises(ServiceError) as excinfo:
                 client.simulate(trace=QUICK_TRACE)
             elapsed = time.monotonic() - started
             assert excinfo.value.status == 429
             assert excinfo.value.code == "backpressure"
-            assert elapsed < 0.4  # rejected inside the batch window
+            assert elapsed < 0.4  # rejected without waiting on the first
+            gate.release()
             thread.join()
             assert first_result["envelope"]["result"]["cycles"] > 0
             client.close()
         finally:
+            gate.release()
             handle.stop()
 
 
 class TestDrainOnShutdown:
     def test_in_flight_requests_answered_then_sockets_close(self):
-        handle = start_server(batch_window_s=0.3)
+        handle = start_server()
+        gate = Phase1Gate.install(handle.server)
         outcome = {}
 
         def in_flight():
@@ -139,8 +151,17 @@ class TestDrainOnShutdown:
         probe.close()
         thread = threading.Thread(target=in_flight)
         thread.start()
-        time.sleep(0.1)  # request now parked in the batch window
-        handle.stop()  # the SIGTERM path: drain, then join
+        assert gate.entered.wait(10.0)  # request now held in phase 1
+        # The SIGTERM path: drain, then join.  The request is released
+        # only once the drain has begun, so it is answered mid-drain.
+        stopper = threading.Thread(target=handle.stop)
+        stopper.start()
+        try:
+            wait_until(lambda: not handle.server.app.is_ready())
+        finally:
+            gate.release()
+        stopper.join(timeout=60.0)
+        assert not stopper.is_alive()
         thread.join()
         assert "error" not in outcome
         assert outcome["envelope"]["result"]["cycles"] > 0
@@ -151,9 +172,10 @@ class TestDrainOnShutdown:
     def test_readyz_flips_during_drain_while_in_flight_completes(self):
         """During the SIGTERM drain window the server is alive but not
         ready: ``/readyz`` answers 503 (``draining``), ``/healthz`` stays
-        200, and the request parked in the batch window still completes.
+        200, and the request held in phase 1 still completes.
         """
-        handle = start_server(batch_window_s=0.5)
+        handle = start_server()
+        gate = Phase1Gate.install(handle.server)
         outcome = {}
 
         def in_flight():
@@ -182,9 +204,9 @@ class TestDrainOnShutdown:
 
             thread = threading.Thread(target=in_flight)
             thread.start()
-            time.sleep(0.15)  # request now parked in the batch window
+            assert gate.entered.wait(10.0)  # request now held in phase 1
             handle.begin_shutdown()  # the SIGTERM path, without joining
-            time.sleep(0.05)  # let the drain flip the readiness gate
+            wait_until(lambda: not handle.server.app.is_ready())
 
             probe_ready.request("GET", "/readyz")
             response = probe_ready.getresponse()
@@ -197,10 +219,12 @@ class TestDrainOnShutdown:
             assert response.status == 200
             assert json.loads(response.read()) == {"status": "ok"}
 
+            gate.release()
             thread.join()
             assert "error" not in outcome
             assert outcome["envelope"]["result"]["cycles"] > 0
         finally:
+            gate.release()
             probe_ready.close()
             probe_health.close()
             handle.stop()

@@ -28,9 +28,7 @@ TRACE_PARAMS = {"kind": "spec92", "name": "ear", "instructions": 4000, "seed": 7
 @pytest.fixture(scope="module")
 def server():
     registry = MetricsRegistry()
-    with ServerThread(
-        ServerConfig(batch_window_s=0.001), registry=registry
-    ) as handle:
+    with ServerThread(ServerConfig(), registry=registry) as handle:
         client = ServiceClient("127.0.0.1", handle.port)
         client.wait_ready()
         yield handle, client, registry

@@ -16,9 +16,7 @@ TRACEPARENT = format_traceparent(TRACE_ID, "cd" * 8)
 
 class TestSpoolLifecycle:
     def test_drained_server_leaves_a_validating_spool(self, tmp_path):
-        config = ServerConfig(
-            batch_window_s=0.001, span_spool_dir=str(tmp_path)
-        )
+        config = ServerConfig(span_spool_dir=str(tmp_path))
         with ServerThread(config) as handle:
             client = ServiceClient("127.0.0.1", handle.port)
             client.wait_ready()
@@ -43,7 +41,6 @@ class TestSpoolLifecycle:
     def test_tracing_off_means_no_spool_by_contract(self, tmp_path):
         spool_dir = tmp_path / "spans"
         config = ServerConfig(
-            batch_window_s=0.001,
             span_ring_capacity=0,  # tracing disabled
             span_spool_dir=str(spool_dir),
         )

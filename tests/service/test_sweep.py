@@ -19,9 +19,7 @@ GRID = dict(
 
 @pytest.fixture(scope="module")
 def server():
-    with ServerThread(
-        ServerConfig(batch_window_s=0.001), registry=MetricsRegistry()
-    ) as handle:
+    with ServerThread(ServerConfig(), registry=MetricsRegistry()) as handle:
         client = ServiceClient("127.0.0.1", handle.port)
         client.wait_ready()
         yield handle, client
@@ -87,9 +85,7 @@ class TestPointErrors:
     def test_expired_deadline_becomes_error_lines_not_a_broken_stream(self):
         """A point that cannot meet its deadline is reported in-stream;
         the stream still terminates with a complete index space."""
-        with ServerThread(
-            ServerConfig(batch_window_s=0.001), registry=MetricsRegistry()
-        ) as handle:
+        with ServerThread(ServerConfig(), registry=MetricsRegistry()) as handle:
             client = ServiceClient("127.0.0.1", handle.port)
             client.wait_ready()
             records = list(
