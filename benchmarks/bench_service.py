@@ -59,6 +59,7 @@ from repro.service import (
     ServiceClient,
 )
 from repro.service import queries, schemas as request_schemas
+from repro.service.batching import EVENTS_MEMO_ENTRIES
 
 #: One shared trace per level keeps the (trace, geometry) key hot while
 #: every request still asks a distinct timing question (its own beta).
@@ -491,7 +492,7 @@ def collect() -> dict:
             "server": {
                 "queue_limit": config.queue_limit,
                 "result_cache_bytes": config.result_cache_bytes,
-                "events_memo_entries": config.events_memo_entries,
+                "events_memo_entries": EVENTS_MEMO_ENTRIES,
             },
             "workload": {
                 "requests_per_client": ROUNDS_PER_CLIENT,

@@ -19,7 +19,8 @@ spools every fleet process left behind (``--span-spool-dir`` fans one
 root out into ``router``/``w0``/..) must validate end to end — the
 phase-1 crash leaves an unsealed active file the phase-2 restart seals
 — and assemble into a campaign-filtered Perfetto timeline carrying the
-executor's ``campaign.*`` spans.  CI then runs ``python -m
+executor's ``campaign.*`` spans and a flow from a router
+``service.forward`` span to a worker span.  CI then runs ``python -m
 repro.obs.validate --campaign REG/<id>`` over the directory and uploads
 it as a build artifact::
 
@@ -227,15 +228,38 @@ def main(argv=None) -> int:
             if e.get("ph") == "X"
             and e.get("name", "").startswith("campaign.")
         ]
+        # The offline timeline shares the live merger, so each forwarded
+        # point's router->worker edge is a repro.flow s/f pair.
+        forward_ids = {
+            e["args"]["span_id"]
+            for e in timeline["traceEvents"]
+            if e.get("ph") == "X"
+            and e.get("name") == "service.forward"
+            and e.get("pid") == 0
+        }
+        flows = [
+            e
+            for e in timeline["traceEvents"]
+            if e.get("cat") == "repro.flow" and e.get("id") in forward_ids
+        ]
         if not campaign_spans:
             failures.append(
                 "campaign timeline carries no campaign.* spans"
+            )
+        elif not (
+            any(e["ph"] == "s" and e["pid"] == 0 for e in flows)
+            and any(e["ph"] == "f" and e["pid"] >= 1 for e in flows)
+        ):
+            failures.append(
+                "campaign timeline carries no flow from a router "
+                "service.forward span to a worker span"
             )
         else:
             print(
                 f"span spools ok: {total_spans} spans across "
                 f"{len(spool_dirs)} processes, campaign timeline has "
-                f"{len(campaign_spans)} campaign spans"
+                f"{len(campaign_spans)} campaign spans and "
+                f"{len(flows) // 2} forward flows"
             )
     except (OSError, ValueError, KeyError, SchemaError) as error:
         failures.append(f"campaign timeline assembly failed: {error}")

@@ -224,9 +224,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: the machine's CPU count)",
     )
     serve.add_argument(
-        "--worker-id",
+        "--worker-config",
+        metavar="JSON",
         default=None,
-        help=argparse.SUPPRESS,  # set by the fleet router on its workers
+        help=argparse.SUPPRESS,  # the fleet router's config for a worker
     )
     serve.add_argument(
         "--keepalive-timeout",
@@ -391,10 +392,16 @@ def _cmd_sweep(options: argparse.Namespace) -> int:
 
 
 def _cmd_serve(options: argparse.Namespace) -> int:
+    import json
     import os
 
-    from repro.service.server import ServerConfig, run_server
+    from repro.service.server import ReproServer, ServerConfig, run_server
 
+    if options.worker_config is not None:
+        # A fleet worker: one process serving its router's whole config.
+        config = ServerConfig(**json.loads(options.worker_config))
+        run_server(ReproServer(config))
+        return 0
     workers = options.workers if options.workers is not None else os.cpu_count() or 1
     if workers < 1:
         print(f"error: --workers must be >= 1, got {workers}", file=sys.stderr)
@@ -413,17 +420,16 @@ def _cmd_serve(options: argparse.Namespace) -> int:
             options.keepalive_timeout if options.keepalive_timeout > 0 else None
         ),
         shed_watermark=options.shed_watermark,
-        worker_id=options.worker_id,
         disk_cache_dir=options.disk_cache_dir,
         disk_cache_bytes=int(options.disk_cache_mib * 1024 * 1024),
         campaign_dir=options.campaign_dir,
     )
     if workers > 1:
-        from repro.service.router import FleetConfig, run_fleet
+        from repro.service.router import FleetConfig, RouterServer
 
-        run_fleet(FleetConfig(base=config, workers=workers))
+        run_server(RouterServer(FleetConfig(base=config, workers=workers)))
     else:
-        run_server(config)
+        run_server(ReproServer(config))
     return 0
 
 

@@ -15,9 +15,10 @@ validate
 The timeline is the *offline* half of the fleet's tracing story: the
 router's live ``GET /v1/debug/trace`` merges ring tails while the fleet
 is up, the spools survive it — a drained or crashed fleet still yields a
-complete timeline from disk.  Wall-clock alignment is coarser than the
-router's monotonic handshake (NTP-grade rather than RTT-grade), which
-is the honest trade for working post mortem.
+complete timeline from disk.  Both halves share one merger
+(:func:`repro.obs.tracing.merge_timelines`) on the host's one wall
+clock, so the offline document carries the same process tracks and
+cross-process flow events as the live one.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.obs import logs
+from repro.obs.tracing import merge_timelines
 from repro.util.jsonout import dump_json
 
 logger = logging.getLogger(__name__)
@@ -72,6 +74,17 @@ def _campaign_prefix(campaign_dir: str) -> str:
     return spec_mod.campaign_id(spec)[:12]
 
 
+def _wall_clock_event(record: dict[str, Any]) -> dict[str, Any]:
+    """A spool record as a Chrome event timed in wall-clock µs."""
+    event = {
+        key: value
+        for key, value in record.items()
+        if key not in ("schema", "seq", "wall_end")
+    }
+    event["ts"] = record["wall_end"] * 1_000_000.0 - record["dur"]
+    return event
+
+
 def assemble_timeline(
     spool_root: str, campaign_dir: str | None = None
 ) -> dict[str, Any]:
@@ -79,8 +92,8 @@ def assemble_timeline(
 
     Each spool record is a finished ``"X"`` event stamped with the wall
     clock at span end (``wall_end``); the span's wall start is therefore
-    ``wall_end - dur`` and the whole fleet aligns on the earliest start,
-    giving a single timeline with ts 0 at the first recorded span.  With
+    ``wall_end - dur``, which is what the shared merger aligns on (ts 0
+    at the first recorded span, flows along cross-process edges).  With
     ``campaign_dir``, spans tagged with that campaign select the
     document — plus every span sharing a ``trace_id`` with one of them,
     so a forwarded point's worker-side tree rides along.
@@ -117,48 +130,17 @@ def assemble_timeline(
             for name, records in per_source
         ]
 
-    base = min(
-        (
-            record["wall_end"] - record["dur"] / 1_000_000.0
-            for _, records in per_source
-            for record in records
-        ),
-        default=0.0,
+    document = merge_timelines(
+        [
+            (name, [_wall_clock_event(record) for record in records])
+            for name, records in per_source
+        ]
     )
-    events: list[dict[str, Any]] = []
-    meta: list[dict[str, Any]] = []
-    counts: dict[str, int] = {}
-    for pid, (name, records) in enumerate(per_source):
-        meta.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": name},
-            }
-        )
-        counts[name] = len(records)
-        for record in records:
-            event = {
-                key: value
-                for key, value in record.items()
-                if key not in ("schema", "seq", "wall_end")
-            }
-            start_wall = record["wall_end"] - record["dur"] / 1_000_000.0
-            event["ts"] = round((start_wall - base) * 1_000_000.0, 3)
-            event["pid"] = pid
-            events.append(event)
-    events.sort(key=lambda event: event["ts"])
-    document: dict[str, Any] = {
-        "traceEvents": meta + events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "producer": "repro.obs.cli",
-            "alignment": "wall_clock",
-        },
-        "sources": counts,
+    document["otherData"] = {
+        "producer": "repro.obs.cli",
+        "alignment": "wall_clock",
     }
+    document["sources"] = {name: len(records) for name, records in per_source}
     if campaign_dir is not None:
         document["otherData"]["campaign"] = tag
     return document

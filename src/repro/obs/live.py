@@ -328,18 +328,24 @@ def trace_tail_document(
 
     The document is Perfetto-loadable (``traceEvents`` holds the tail)
     and carries the ring bookkeeping so callers can tell truncation from
-    a quiet server, plus a ``clock`` section (``perf_counter`` now and
-    the tracer epoch) so a cross-process collector can rebase the events
-    onto its own timeline.  ``trace_id`` filters the tail (after the
-    ``last`` cut) to one request's spans.
+    a quiet server, plus a ``clock`` section (``perf_counter`` and the
+    wall clock read side by side, and the tracer epoch) so a
+    cross-process collector can place the events on the wall clock
+    (:func:`wall_clock_events`).  ``trace_id`` filters the tail (after
+    the ``last`` cut) to one request's spans.
     """
+    clock = {
+        "perf_counter": time.perf_counter(),
+        "wall": time.time(),
+        "epoch": tracer.epoch if tracer is not None else None,
+    }
     if tracer is None:
         return {
             "schema": TRACE_TAIL_SCHEMA,
             "enabled": False,
             "traceEvents": [],
             "displayTimeUnit": "ms",
-            "clock": {"perf_counter": time.perf_counter(), "epoch": None},
+            "clock": clock,
             "otherData": {"producer": "repro.obs.live"},
         }
     if isinstance(tracer, RingTracer):
@@ -363,11 +369,30 @@ def trace_tail_document(
     document["schema"] = TRACE_TAIL_SCHEMA
     document["enabled"] = True
     document["ring"] = ring
-    document["clock"] = {
-        "perf_counter": time.perf_counter(),
-        "epoch": tracer.epoch,
-    }
+    document["clock"] = clock
     return document
+
+
+def wall_clock_events(document: dict[str, Any]) -> list[dict[str, Any]]:
+    """A trace-tail document's events with ``ts`` in wall-clock µs.
+
+    Span timestamps are ``perf_counter`` offsets from the tracer epoch,
+    which mean nothing outside their process; the document's ``clock``
+    block (``perf_counter`` and wall clock read together) maps them onto
+    the wall clock every process on the host shares — the input
+    :func:`repro.obs.tracing.merge_timelines` expects.  Metadata events
+    pass through; a disabled ring yields no events.
+    """
+    clock = document["clock"]
+    if clock["epoch"] is None:
+        return []
+    shift_us = (clock["wall"] - clock["perf_counter"] + clock["epoch"]) * 1e6
+    return [
+        event
+        if event.get("ph") == "M"
+        else {**event, "ts": event["ts"] + shift_us}
+        for event in document["traceEvents"]
+    ]
 
 
 # -- rolling-window SLIs -------------------------------------------------

@@ -208,7 +208,14 @@ class SamplingProfiler:
 
     def _sample(self) -> None:
         own_ident = threading.get_ident()
-        names = {t.ident: t.name for t in threading.enumerate()}
+        # Sanitized once, here: the folded-stack name and the per-thread
+        # count key must be the same string, or a thread named like
+        # Python's default ``Thread-N (target)`` gets a Chrome track that
+        # ``document()["threads"]`` has no entry for.
+        names = {
+            t.ident: t.name.replace(";", ",").replace(" ", "_")
+            for t in threading.enumerate()
+        }
         frames = sys._current_frames()
         self._sweeps += 1
         for ident, frame in frames.items():
@@ -271,10 +278,7 @@ class SamplingProfiler:
         """
         lines = []
         for (thread_name, stack), count in self._stack_counts.items():
-            frames = ";".join(
-                (thread_name.replace(";", ",").replace(" ", "_"), *stack)
-            )
-            lines.append((frames, count))
+            lines.append((";".join((thread_name, *stack)), count))
         return [f"{frames} {count}" for frames, count in sorted(lines)]
 
     def phase_table(self) -> dict[str, dict[str, Any]]:

@@ -296,6 +296,68 @@ class Tracer:
         return write_json(path, self.chrome_trace())
 
 
+def merge_timelines(
+    tracks: list[tuple[str, list[dict[str, Any]]]],
+) -> dict[str, Any]:
+    """One Chrome trace from per-process event lists on one wall clock.
+
+    ``tracks`` holds ``(process name, events)`` per process, each timed
+    event's ``ts`` in wall-clock microseconds — every process on a host
+    reads the same wall clock, so no handshake is needed to align them.
+    Each list becomes a process track whose pid is its position; the
+    earliest timestamp moves to 0 (Perfetto dislikes negative ones); and
+    each event whose ``parent_span_id`` names a span on *another* track
+    gets an ``s``/``f`` flow pair (``cat: repro.flow``) stitching the
+    cross-process edge.  Both the fleet router's live
+    ``/v1/debug/trace`` and the offline ``repro obs timeline`` use it.
+    """
+    meta: list[dict[str, Any]] = []
+    events: list[dict[str, Any]] = []
+    spans: dict[str, dict[str, Any]] = {}
+    for pid, (name, track) in enumerate(tracks):
+        meta.append(
+            {
+                "name": "process_name",
+                "ph": "M",
+                "pid": pid,
+                "tid": 0,
+                "args": {"name": name},
+            }
+        )
+        for event in track:
+            event = {**event, "pid": pid}
+            if event.get("ph") == "M":
+                meta.append(event)
+                continue
+            events.append(event)
+            span_id = event.get("args", {}).get("span_id")
+            if span_id:
+                spans[span_id] = event
+    flows: list[dict[str, Any]] = []
+    for event in events:
+        parent = spans.get(event.get("args", {}).get("parent_span_id", ""))
+        if parent is None or parent["pid"] == event["pid"]:
+            continue
+        for phase, end in (("s", parent), ("f", event)):
+            flows.append(
+                {
+                    "name": "forward",
+                    "cat": "repro.flow",
+                    "id": parent["args"]["span_id"],
+                    "ph": phase,
+                    "ts": end["ts"],
+                    "pid": end["pid"],
+                    "tid": end["tid"],
+                }
+            )
+        flows[-1]["bp"] = "e"  # the finish binds to the child's slice
+    base = min((event["ts"] for event in events), default=0.0)
+    for event in events + flows:
+        event["ts"] = round(event["ts"] - base, 3)
+    events.sort(key=lambda event: event["ts"])
+    return {"traceEvents": meta + events + flows, "displayTimeUnit": "ms"}
+
+
 #: The process-wide tracer, or ``None`` while tracing is disabled.
 _ACTIVE: Tracer | None = None
 

@@ -31,7 +31,6 @@ from repro.service.router import (
     FleetConfig,
     FleetThread,
     RouterServer,
-    run_fleet,
 )
 from repro.service.server import (
     ReproServer,
@@ -63,7 +62,6 @@ __all__ = [
     "backoff_delays",
     "result_key",
     "ring_hash",
-    "run_fleet",
     "run_server",
     "simulate_key_material",
     "worker_names",

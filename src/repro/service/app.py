@@ -371,9 +371,9 @@ class ServiceApp:
             body = dump_json({"status": "ready"}).encode("utf-8")
             return 200, body, JSON_CONTENT_TYPE
         if endpoint == "metrics":
-            return 200, self._metrics_body(), METRICS_CONTENT_TYPE
+            return 200, await self._metrics_body(), METRICS_CONTENT_TYPE
         if endpoint == "debug-trace":
-            return 200, self._trace_tail_body(request.path), JSON_CONTENT_TYPE
+            return 200, await self._trace_body(request.path), JSON_CONTENT_TYPE
         if endpoint == "debug-spans":
             return 200, self._spans_body(request.path), JSON_CONTENT_TYPE
         if endpoint == "debug-profile":
@@ -383,7 +383,7 @@ class ServiceApp:
                 JSON_CONTENT_TYPE,
             )
         if endpoint == "stats":
-            return 200, self._stats_body(), JSON_CONTENT_TYPE
+            return 200, await self._stats_body(), JSON_CONTENT_TYPE
         if endpoint == "campaigns":
             if request.method == "GET":
                 return (
@@ -555,6 +555,7 @@ class ServiceApp:
         return StreamBody(self._sweep_lines(validated, total))
 
     async def _sweep_lines(self, validated: dict[str, Any], total: int) -> Any:
+        """The stream: header line, :meth:`_sweep_chunks`, summary line."""
         header = {
             "schema": SERVICE_SWEEP_SCHEMA,
             "points": total,
@@ -565,22 +566,28 @@ class ServiceApp:
             },
         }
         yield (dump_json_line(header) + "\n").encode("utf-8")
-        chunk_size = max(1, min(self.SWEEP_CHUNK, self.batcher.max_pending))
         errors = 0
-        batch: list[tuple[int, dict[str, Any], dict[str, Any]]] = []
-        for item in request_schemas.sweep_grid(validated):
-            batch.append(item)
-            if len(batch) >= chunk_size:
-                lines, failed = await self._sweep_chunk(batch)
-                errors += failed
-                yield lines
-                batch = []
-        if batch:
-            lines, failed = await self._sweep_chunk(batch)
+        async for lines, failed in self._sweep_chunks(validated):
             errors += failed
             yield lines
         summary = {"done": True, "errors": errors, "points": total}
         yield (dump_json_line(summary) + "\n").encode("utf-8")
+
+    async def _sweep_chunks(self, validated: dict[str, Any]) -> Any:
+        """Yield ``(JSONL lines, error count)`` until the grid is done.
+
+        Here: bounded chunks through the caches and the batcher.  The
+        fleet router overrides this to fan the grid out to its workers.
+        """
+        chunk_size = max(1, min(self.SWEEP_CHUNK, self.batcher.max_pending))
+        batch: list[tuple[int, dict[str, Any], dict[str, Any]]] = []
+        for item in request_schemas.sweep_grid(validated):
+            batch.append(item)
+            if len(batch) >= chunk_size:
+                yield await self._sweep_chunk(batch)
+                batch = []
+        if batch:
+            yield await self._sweep_chunk(batch)
 
     async def _sweep_chunk(
         self, batch: list[tuple[int, dict[str, Any], dict[str, Any]]]
@@ -652,6 +659,8 @@ class ServiceApp:
 
     @staticmethod
     def _classify_point_error(error: BaseException) -> tuple[int, str]:
+        if isinstance(error, HttpError):  # e.g. a forwarded point's answer
+            return error.status, error.code
         if isinstance(error, QueueFullError):
             return 429, "backpressure"
         if isinstance(error, asyncio.TimeoutError):
@@ -740,10 +749,9 @@ class ServiceApp:
 
     # -- live observability -------------------------------------------------
 
-    def _metrics_body(self) -> bytes:
+    async def _metrics_body(self) -> bytes:
         """``GET /metrics``: the Prometheus text exposition."""
         gauges = {
-            "service.ready": 1.0 if self.is_ready() else 0.0,
             "service.queue.depth_now": float(self.batcher.queue_depth),
             "service.queue.limit": float(self.batcher.max_pending),
             "service.result_cache.entries": float(len(self.result_cache)),
@@ -757,6 +765,15 @@ class ServiceApp:
             gauges["service.disk_cache.bytes"] = float(
                 self.disk_cache.size_bytes
             )
+        return self._render_metrics(self.registry.snapshot(), gauges)
+
+    def _render_metrics(
+        self, snapshot: dict[str, Any], gauges: dict[str, float]
+    ) -> bytes:
+        """Render ``/metrics`` from a registry snapshot and gauges, adding
+        readiness, the campaign gauges and the SLI window (shared with
+        the fleet router's merged exposition)."""
+        gauges["service.ready"] = 1.0 if self.is_ready() else 0.0
         if self.campaign_service is not None:
             campaign_stats = self.campaign_service.stats()
             gauges["service.campaigns.registered"] = float(
@@ -771,10 +788,9 @@ class ServiceApp:
         window_summary = (
             self.window.summary() if self.window is not None else None
         )
-        text = render_prometheus(
-            self.registry.snapshot(), window_summary, gauges
+        return render_prometheus(snapshot, window_summary, gauges).encode(
+            "utf-8"
         )
-        return text.encode("utf-8")
 
     @staticmethod
     def _trace_query(path: str) -> tuple[int | None, str | None]:
@@ -798,14 +814,17 @@ class ServiceApp:
                 trace_id = value
         return last, trace_id
 
-    def _trace_tail_body(self, path: str) -> bytes:
+    async def _trace_body(self, path: str) -> bytes:
         """``GET /v1/debug/trace?last=N&trace_id=T``: the span ring tail."""
+        return dump_json(self._trace_document(path)).encode("utf-8")
+
+    def _trace_document(self, path: str) -> dict[str, Any]:
+        """The span ring tail a ``?last=N&trace_id=T`` query selects."""
         last, trace_id = self._trace_query(path)
         tracer = (
             self.tracer if self.tracer is not None else tracing.current_tracer()
         )
-        document = trace_tail_document(tracer, last, trace_id=trace_id)
-        return dump_json(document).encode("utf-8")
+        return trace_tail_document(tracer, last, trace_id=trace_id)
 
     def _spans_body(self, path: str) -> bytes:
         """``GET /v1/debug/spans``: this process's ring, collector-shaped.
@@ -813,14 +832,10 @@ class ServiceApp:
         Same document as ``/v1/debug/trace`` plus the worker identity —
         the route a fleet router scrapes from each worker to assemble the
         merged cross-process timeline (the ``clock`` block carried by the
-        document is what lets the router rebase this process's
-        ``perf_counter`` timestamps into its own timeline).
+        document is what lets the router place this process's
+        ``perf_counter`` timestamps on the shared wall clock).
         """
-        last, trace_id = self._trace_query(path)
-        tracer = (
-            self.tracer if self.tracer is not None else tracing.current_tracer()
-        )
-        document = trace_tail_document(tracer, last, trace_id=trace_id)
+        document = self._trace_document(path)
         document["worker"] = live.current_worker_id()
         return dump_json(document).encode("utf-8")
 
@@ -905,7 +920,13 @@ class ServiceApp:
             envelope["cached"] = cached
         return dump_json(envelope).encode("utf-8")
 
-    def _stats_body(self) -> bytes:
+    async def _stats_body(self) -> bytes:
+        """``GET /v1/stats``."""
+        return dump_json(self._stats()).encode("utf-8")
+
+    def _stats(self) -> dict[str, Any]:
+        """The ``GET /v1/stats`` document (the fleet router starts from
+        it and swaps in its merged sections)."""
         latency = {}
         for endpoint, samples in sorted(self._latency_ms.items()):
             values = list(samples)
@@ -914,7 +935,7 @@ class ServiceApp:
                 "p50_ms": percentile(values, 50.0),
                 "p99_ms": percentile(values, 99.0),
             }
-        stats = {
+        stats: dict[str, Any] = {
             "schema": SERVICE_STATS_SCHEMA,
             **self.registry.snapshot(),
             "queue": {
@@ -941,4 +962,4 @@ class ServiceApp:
         worker = live.current_worker_id()
         if worker is not None:
             stats["worker"] = worker
-        return dump_json(stats).encode("utf-8")
+        return stats

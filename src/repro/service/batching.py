@@ -65,6 +65,10 @@ from repro.obs.metrics import MetricsRegistry
 from repro.service import queries
 
 
+#: Resolved event streams the batch thread keeps for reuse across batches.
+EVENTS_MEMO_ENTRIES = 8
+
+
 class QueueFullError(Exception):
     """The bounded request queue is at capacity (backpressure)."""
 
@@ -110,7 +114,6 @@ class MicroBatcher:
         self,
         registry: MetricsRegistry,
         max_pending: int = 64,
-        events_memo_entries: int = 8,
         resolve_events: Callable[[dict], EventStream] = queries.resolve_events,
         compute: Callable[[dict, EventStream], dict] = queries.simulate_from_events,
     ) -> None:
@@ -120,7 +123,7 @@ class MicroBatcher:
         self.max_pending = max_pending
         self._resolve_events = resolve_events
         self._compute = compute
-        self._memo = EventsMemo(events_memo_entries)
+        self._memo = EventsMemo(EVENTS_MEMO_ENTRIES)
         self._queue: list[_Pending] = []
         self._pending = 0  # queued + computing, for backpressure
         self._wakeup = asyncio.Event()

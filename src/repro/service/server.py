@@ -22,7 +22,9 @@ worker — so the shared registry needs no lock.
 
 :class:`ServerThread` runs the whole loop on a daemon thread for tests
 and the load generator; ``python -m repro serve`` uses
-:func:`run_server` in the foreground.
+:func:`run_server` in the foreground.  Both run whichever server they
+are given — the fleet router (:mod:`repro.service.router`) is a
+:class:`ReproServer` subclass and reuses them unchanged.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
+from typing import Any
 
 from repro.obs import live, metrics, tracing
 from repro.obs.access_log import AccessLog
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.span_spool import DEFAULT_BUDGET_BYTES, SpanSpool
+from repro.obs.span_spool import SpanSpool
 from repro.service import disk_cache as disk_cache_mod
 from repro.service import http11
 from repro.service.app import ServiceApp, StreamBody, error_body
@@ -45,29 +48,30 @@ from repro.service.disk_cache import DiskResultCache
 from repro.service.http11 import HttpError
 from repro.service.result_cache import ResultCache
 
+#: How long a drain waits for in-flight requests before closing anyway.
+DRAIN_GRACE_S = 30.0
+
 
 @dataclass
 class ServerConfig:
-    """Everything tunable about one server instance."""
+    """Everything tunable about one server instance.
+
+    A fleet router hands its whole config to each worker as one JSON
+    document (:meth:`repro.service.router.WorkerHandle._command`), so
+    every field must stay JSON-representable.
+    """
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = pick a free port (tests, load generator)
     queue_limit: int = 64
     result_cache_bytes: int = 8 * 1024 * 1024
     default_deadline_s: float = 30.0
-    events_memo_entries: int = 8
-    max_header_bytes: int = http11.DEFAULT_MAX_HEADER_BYTES
-    max_body_bytes: int = http11.DEFAULT_MAX_BODY_BYTES
-    drain_grace_s: float = 30.0
     access_log_path: str | None = None
     span_ring_capacity: int = 4096  # 0 disables the server-owned ring
     # Durable span collection: finished spans are appended to a JSONL
     # spool under this directory (see repro.obs.span_spool).  Off by
     # default, and never active while tracing itself is disabled.
     span_spool_dir: str | None = None
-    span_spool_bytes: int = DEFAULT_BUDGET_BYTES
-    sli_window_s: float = 60.0
-    sli_bucket_s: float = 1.0
     profile_max_seconds: float = 10.0  # /v1/debug/profile window cap
     # Idle keep-alive connections are closed after this many seconds
     # without a request (None = never).
@@ -123,7 +127,20 @@ class ReproServer:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the socket and start the batch scheduler."""
+        """Bind the socket, build the app, then start accepting."""
+        # Bound first and serving last: a busy port fails the start
+        # before anything (batch thread, tracer, spool) exists, and no
+        # connection is accepted before the app is built.
+        self._server = await asyncio.start_server(
+            self._handle_connection,
+            self.config.host,
+            self.config.port,
+            # readuntil() overruns at the stream limit, which is how the
+            # header-block cap in http11.read_request actually triggers.
+            limit=http11.DEFAULT_MAX_HEADER_BYTES,
+            start_serving=False,
+        )
+        self._port = self._server.sockets[0].getsockname()[1]
         self.registry = (
             self._registry_override
             or metrics.current_metrics()
@@ -141,9 +158,7 @@ class ReproServer:
                 capacity_bytes=self.config.disk_cache_bytes,
             )
         self.batcher = MicroBatcher(
-            self.registry,
-            max_pending=self.config.queue_limit,
-            events_memo_entries=self.config.events_memo_entries,
+            self.registry, max_pending=self.config.queue_limit
         )
         self.batcher.start()
         # A server-owned bounded ring keeps span tracing on for the whole
@@ -153,10 +168,7 @@ class ReproServer:
         # tracing off means no spool, by contract.
         if tracing.current_tracer() is None and self.config.span_ring_capacity > 0:
             if self.config.span_spool_dir:
-                self.span_spool = SpanSpool(
-                    self._span_spool_dir(),
-                    budget_bytes=self.config.span_spool_bytes,
-                )
+                self.span_spool = SpanSpool(self.config.span_spool_dir)
             self._installed_tracer = tracing.install_tracer(
                 live.RingTracer(
                     capacity=self.config.span_ring_capacity,
@@ -167,10 +179,7 @@ class ReproServer:
                     ),
                 )
             )
-        self.window = live.RollingWindow(
-            window_s=self.config.sli_window_s,
-            bucket_s=self.config.sli_bucket_s,
-        )
+        self.window = live.RollingWindow()
         if self.config.access_log_path:
             self.access_log = AccessLog(self.config.access_log_path)
         self.app = self._make_app()
@@ -192,48 +201,40 @@ class ReproServer:
                 self.registry,
             )
             self.app.campaign_service = self.campaign_service
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.config.host,
-            self.config.port,
-            # readuntil() overruns at the stream limit, which is how the
-            # header-block cap in http11.read_request actually triggers.
-            limit=self.config.max_header_bytes,
+        await self._server.start_serving()
+
+    def announce(self) -> None:
+        """Print the start-up line the smoke scripts and benchmarks read."""
+        print(
+            f"repro.service listening on {self.config.host}:{self.port}",
+            flush=True,
         )
-        self._port = self._server.sockets[0].getsockname()[1]
-
-    def _span_spool_dir(self) -> str:
-        """Where this process's span spool lives.
-
-        The fleet router overrides this to claim the ``router``
-        subdirectory, leaving ``<dir>/w0``.. to the workers it spawns,
-        so one ``--span-spool-dir`` fans out into one subdirectory per
-        process.
-        """
-        assert self.config.span_spool_dir is not None
-        return self.config.span_spool_dir
 
     def _make_app(self) -> ServiceApp:
         """Build the request-handling app; the fleet router overrides
         this to swap in its sharding/forwarding app on the same server
         skeleton (see :mod:`repro.service.router`)."""
+        return ServiceApp(**self._app_kwargs())
+
+    def _app_kwargs(self) -> dict[str, Any]:
+        """Everything an app is built from, the router's included."""
         assert self.registry is not None
         assert self.batcher is not None
         assert self.result_cache is not None
-        return ServiceApp(
-            self.registry,
-            self.batcher,
-            self.result_cache,
-            default_deadline_s=self.config.default_deadline_s,
-            window=self.window,
-            access_log=self.access_log,
-            tracer=tracing.current_tracer(),
-            is_ready=lambda: not self._draining,
-            profile_max_seconds=self.config.profile_max_seconds,
-            disk_cache=self.disk_cache,
-            shed_watermark=self.config.shed_watermark,
-            span_spool=self.span_spool,
-        )
+        return {
+            "registry": self.registry,
+            "batcher": self.batcher,
+            "result_cache": self.result_cache,
+            "default_deadline_s": self.config.default_deadline_s,
+            "window": self.window,
+            "access_log": self.access_log,
+            "tracer": tracing.current_tracer(),
+            "is_ready": lambda: not self._draining,
+            "profile_max_seconds": self.config.profile_max_seconds,
+            "disk_cache": self.disk_cache,
+            "shed_watermark": self.config.shed_watermark,
+            "span_spool": self.span_spool,
+        }
 
     def begin_shutdown(self) -> None:
         """Request a drain (signal handlers, tests); returns immediately."""
@@ -250,7 +251,7 @@ class ReproServer:
         assert self._server is not None
         self._server.close()
         await self._server.wait_closed()
-        deadline = time.monotonic() + self.config.drain_grace_s
+        deadline = time.monotonic() + DRAIN_GRACE_S
         while self._active_requests and time.monotonic() < deadline:
             await asyncio.sleep(0.01)
         for writer in list(self._writers):  # idle keep-alive connections
@@ -305,11 +306,7 @@ class ReproServer:
                     else None
                 )
                 try:
-                    request = await http11.read_request(
-                        reader,
-                        max_header_bytes=self.config.max_header_bytes,
-                        max_body_bytes=self.config.max_body_bytes,
-                    )
+                    request = await http11.read_request(reader)
                 except HttpError as error:
                     body = error_body(error.status, error.code, error.message)
                     writer.write(
@@ -443,19 +440,17 @@ class ReproServer:
                     pass
 
 
-def run_server(config: ServerConfig | None = None) -> None:
+def run_server(server: ReproServer) -> None:
     """Foreground entry point: serve until SIGTERM/SIGINT, then drain."""
-    config = config or ServerConfig()
 
     async def main() -> None:
-        server = ReproServer(config)
         await server.start()
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):
             loop.add_signal_handler(sig, server.begin_shutdown)
-        print(f"repro.service listening on {config.host}:{server.port}")
+        server.announce()
         await server.serve_until_shutdown()
-        print("repro.service drained, bye")
+        print("repro.service drained, bye", flush=True)
 
     asyncio.run(main())
 
@@ -471,19 +466,28 @@ class ServerThread:
 
     ``stop()`` performs the full drain (the SIGTERM path) before the
     thread joins, so anything in flight when the ``with`` block exits is
-    still answered.
+    still answered.  A start-up failure (a busy port, a worker that never
+    came up) is raised from ``start()`` on the caller's thread.
     """
 
     def __init__(
         self,
-        config: ServerConfig | None = None,
+        config: Any = None,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        self.config = config or ServerConfig()
-        self.server = ReproServer(self.config, registry=registry)
+        self.server = self._make_server(config, registry)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._ready = threading.Event()
+        self._startup_error: Exception | None = None
+
+    def _make_server(
+        self, config: Any, registry: MetricsRegistry | None
+    ) -> ReproServer:
+        """Build the server to run; the fleet's
+        :class:`~repro.service.router.FleetThread` overrides this to run
+        a router instead."""
+        return ReproServer(config, registry=registry)
 
     @property
     def port(self) -> int:
@@ -495,8 +499,12 @@ class ServerThread:
             target=self._run, name="repro-service", daemon=True
         )
         self._thread.start()
-        if not self._ready.wait(timeout=10.0):
+        if not self._ready.wait(timeout=120.0):
             raise RuntimeError("service thread failed to start")
+        if self._startup_error is not None:
+            self._thread.join(timeout=30.0)
+            self._thread = None
+            raise RuntimeError("service startup failed") from self._startup_error
         return self
 
     def _run(self) -> None:
@@ -508,8 +516,13 @@ class ServerThread:
             self._loop.close()
 
     async def _main(self) -> None:
-        await self.server.start()
-        self._ready.set()
+        try:
+            await self.server.start()
+        except Exception as error:  # noqa: BLE001 - raised again by start()
+            self._startup_error = error
+            return
+        finally:
+            self._ready.set()
         await self.server.serve_until_shutdown()
 
     def begin_shutdown(self) -> None:
@@ -517,7 +530,7 @@ class ServerThread:
         assert self._loop is not None
         self._loop.call_soon_threadsafe(self.server.begin_shutdown)
 
-    def stop(self, timeout: float = 30.0) -> None:
+    def stop(self, timeout: float = 60.0) -> None:
         """Drain and join (idempotent)."""
         if self._thread is None:
             return

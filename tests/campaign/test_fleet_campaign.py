@@ -8,6 +8,7 @@ killed mid-campaign without the campaign noticing.
 
 import os
 import signal
+import time
 
 from repro.campaign.executor import run_campaign
 from repro.campaign.registry import (
@@ -26,6 +27,48 @@ DOC = {
     "policies": ["FS", "BNL3"],
     "memory_cycles": [8.0, 16.0],
 }  # 16 points, sharded across both workers by events key
+
+
+def _assert_one_traced_forward_per_point(client):
+    """One ``service.forward`` span under each ``campaign.point``, with
+    a flow to the worker's ``service.request`` wherever the worker's
+    ring still holds it (the SIGKILLed one lost its spans)."""
+    deadline = time.monotonic() + 10.0
+    while True:
+        document = client.debug_trace()
+        spans = [e for e in document["traceEvents"] if e.get("ph") == "X"]
+        points = {
+            e["args"]["span_id"]
+            for e in spans
+            if e["name"] == "campaign.point" and e["pid"] == 0
+        }
+        forwards = {
+            e["args"]["span_id"]: e
+            for e in spans
+            if e["name"] == "service.forward"
+            and e["args"].get("parent_span_id") in points
+        }
+        requests = [
+            e
+            for e in spans
+            if e["name"] == "service.request"
+            and e["pid"] >= 1
+            and e["args"].get("parent_span_id") in forwards
+        ]
+        if (len(points) == 16 and requests) or time.monotonic() > deadline:
+            break
+        time.sleep(0.1)
+    assert len(points) == 16
+    assert len(forwards) == 16
+    assert requests, "no worker span names a campaign forward as parent"
+    finishes = {
+        (e["id"], e["pid"], e["ts"])
+        for e in document["traceEvents"]
+        if e.get("cat") == "repro.flow" and e["ph"] == "f"
+    }
+    for request in requests:
+        key = (request["args"]["parent_span_id"], request["pid"], request["ts"])
+        assert key in finishes
 
 
 def test_campaign_survives_a_worker_sigkill(tmp_path, monkeypatch):
@@ -58,6 +101,11 @@ def test_campaign_survives_a_worker_sigkill(tmp_path, monkeypatch):
                 range(16)
             )
             assert records[-1]["done"] is True
+            # Campaign forwards share the interactive forward path: each
+            # point is timed and traced like a /v1/simulate.
+            forwarded = client.stats_envelope()["fleet"]["forward_latency_ms"]
+            assert sum(w["count"] for w in forwarded["workers"].values()) == 16
+            _assert_one_traced_forward_per_point(client)
         finally:
             client.close()
 

@@ -205,6 +205,28 @@ class TestChromeTrace:
                 event["args"]["samples"]
             )
 
+    def test_every_track_is_a_counted_thread(self):
+        """A thread name with a space (Python's default ``Thread-N
+        (target)`` has one) names its track and its count alike."""
+        release = threading.Event()
+        waiter = threading.Thread(
+            target=release.wait, name="spin (x)", daemon=True
+        )
+        waiter.start()
+        try:
+            document = _profile_once().document()
+        finally:
+            release.set()
+            waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        tracks = {
+            e["args"]["name"]
+            for e in chrome_trace(document)["traceEvents"]
+            if e["ph"] == "M"
+        }
+        assert "spin_(x)" in tracks
+        assert tracks <= set(document["threads"])
+
     def test_thread_tracks_are_labeled(self):
         trace = chrome_trace(_profile_once().document())
         meta = [e for e in trace["traceEvents"] if e["ph"] == "M"]

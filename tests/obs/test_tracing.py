@@ -110,6 +110,58 @@ class TestExport:
         assert "worker:figure1" in labels
 
 
+def _span(name, ts, span_id, parent=None):
+    args = {"trace_id": "a" * 32, "span_id": span_id}
+    if parent is not None:
+        args["parent_span_id"] = parent
+    return {
+        "name": name,
+        "cat": tracing.CATEGORY,
+        "ph": "X",
+        "ts": ts,
+        "dur": 50.0,
+        "pid": 7,
+        "tid": 0,
+        "args": args,
+    }
+
+
+class TestMergeTimelines:
+    def test_one_cross_track_edge_gives_one_flow_pair(self):
+        wall_us = 1.7e15  # wall-clock microseconds, as both callers pass
+        router = [
+            _span("campaign.point", wall_us + 100.0, "1" * 16),
+            _span("service.forward", wall_us + 110.0, "2" * 16, "1" * 16),
+        ]
+        worker = [
+            _span("service.request", wall_us + 120.0, "3" * 16, "2" * 16),
+            _span("service.phase2", wall_us + 130.0, "4" * 16, "3" * 16),
+        ]
+        document = tracing.merge_timelines([("router", router), ("w0", worker)])
+        schemas.validate_chrome_trace(document)
+        tracks = {
+            e["args"]["name"]: e["pid"]
+            for e in document["traceEvents"]
+            if e["ph"] == "M"
+        }
+        assert tracks == {"router": 0, "w0": 1}
+        spans = {
+            e["name"]: e for e in document["traceEvents"] if e["ph"] == "X"
+        }
+        assert spans["campaign.point"]["ts"] == 0.0
+        assert spans["service.request"]["ts"] == 20.0
+        assert spans["service.forward"]["pid"] == 0
+        assert spans["service.phase2"]["pid"] == 1
+        flows = [
+            e for e in document["traceEvents"] if e.get("cat") == "repro.flow"
+        ]
+        start, finish = sorted(flows, key=lambda e: e["ph"] != "s")
+        assert (start["ph"], finish["ph"]) == ("s", "f")
+        assert start["id"] == finish["id"] == "2" * 16
+        assert (start["pid"], start["ts"]) == (0, 10.0)
+        assert (finish["pid"], finish["ts"]) == (1, 20.0)
+
+
 class TestSchemaRejects:
     def test_missing_trace_events(self):
         with pytest.raises(schemas.SchemaError, match="traceEvents"):

@@ -6,9 +6,12 @@ runs last-ish but is order-independent — the supervisor restores the
 slot either way.
 """
 
+import asyncio
+import dataclasses
 import json
 import os
 import signal
+import socket
 import time
 
 import pytest
@@ -21,11 +24,14 @@ from repro.obs.schemas import validate_chrome_trace, validate_sweep_stream
 from repro.service import (
     FleetConfig,
     FleetThread,
+    RouterServer,
     ServerConfig,
     ServerThread,
     ServiceClient,
+    ServiceError,
 )
 from repro.service.queries import timing_result_dict
+from repro.service.router import WorkerHandle
 from repro.trace.spec92 import spec92_trace
 from repro.util.jsonout import dump_json
 
@@ -38,8 +44,13 @@ CACHES = [
 
 
 @pytest.fixture(scope="module")
-def fleet():
-    config = FleetConfig(base=ServerConfig(), workers=2)
+def fleet(tmp_path_factory):
+    # Non-default fields the workers must inherit from the router.
+    base = ServerConfig(
+        profile_max_seconds=0.5,
+        span_spool_dir=str(tmp_path_factory.mktemp("fleet-spans")),
+    )
+    config = FleetConfig(base=base, workers=2)
     with FleetThread(config) as handle:
         client = ServiceClient("127.0.0.1", handle.port)
         client.wait_ready(timeout=30.0)
@@ -120,6 +131,64 @@ class TestShardedSweep:
             )
 
 
+class TestOneConfig:
+    def test_worker_config_is_the_routers_exactly(self):
+        """No field is dropped or rounded on its way to a worker: a
+        byte budget stays exact and a disabled keep-alive stays off."""
+        base = ServerConfig(
+            port=8472,
+            result_cache_bytes=1_000_000,
+            keepalive_timeout_s=None,
+            access_log_path="logs/access.jsonl",
+            span_spool_dir="spans",
+            campaign_dir="campaigns",
+        )
+        command = WorkerHandle("w1", base)._command()
+        doc = json.loads(command[command.index("--worker-config") + 1])
+        assert ServerConfig(**doc) == dataclasses.replace(
+            base,
+            host="127.0.0.1",
+            port=0,
+            worker_id="w1",
+            campaign_dir=None,
+            access_log_path="logs/access.jsonl.w1",
+            span_spool_dir=os.path.join("spans", "w1"),
+        )
+
+    def test_workers_inherit_the_routers_profile_cap(self, fleet):
+        """The router's whole config reaches each worker: a window over
+        the 0.5 s cap is refused by the worker itself."""
+        _, client = fleet
+        workers = client.stats_envelope()["fleet"]["workers"]
+        for info in workers.values():
+            with ServiceClient("127.0.0.1", info["port"]) as worker:
+                with pytest.raises(ServiceError) as excinfo:
+                    worker.request("GET", "/v1/debug/profile?seconds=0.75")
+            assert excinfo.value.status == 400
+            assert excinfo.value.code == "bad_query"
+
+
+class TestFailedStart:
+    def test_busy_port_leaves_no_worker_running(self):
+        """A router that cannot bind stops the workers it spawned
+        instead of leaving them re-parented to init."""
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen(1)
+            config = FleetConfig(
+                base=ServerConfig(port=busy.getsockname()[1])
+            )
+            server = RouterServer(config)
+            try:
+                with pytest.raises(OSError):
+                    asyncio.run(server.start())
+                assert not any(
+                    handle.alive for handle in server.fleet.workers.values()
+                )
+            finally:
+                asyncio.run(server.fleet.stop())
+
+
 class TestMergedObservability:
     def test_stats_carries_the_fleet_section(self, fleet):
         _, client = fleet
@@ -133,6 +202,12 @@ class TestMergedObservability:
             assert isinstance(info["pid"], int)
         forwarded = stats["fleet"]["forward_latency_ms"]
         assert forwarded["p99_ms"] >= forwarded["p50_ms"] >= 0.0
+
+    def test_stats_carries_the_routers_own_span_spool(self, fleet):
+        _, client = fleet
+        spool = client.stats_envelope()["span_spool"]
+        assert os.path.basename(spool["directory"]) == "router"
+        assert spool["appended"] > 0
 
     def test_worker_counters_are_labelled_not_summed(self, fleet):
         _, client = fleet

@@ -109,10 +109,15 @@ class ScriptedServer:
                     continue
 
     def close(self):
+        # Closing alone does not wake a thread blocked in accept() on
+        # Linux; shutdown() does, so the serving thread ends with its test.
         try:
-            self.sock.close()
+            self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self.sock.close()
+        self.thread.join(timeout=10.0)
+        assert not self.thread.is_alive(), "scripted server thread leaked"
 
 
 @pytest.fixture
