@@ -29,8 +29,9 @@ the router is launched with N workers, one worker is SIGKILLed while
 the mixed traffic is in flight (every request must still succeed —
 forwarding retries through the restart), the supervisor must respawn
 the slot with a fresh pid, and ``--compare-results DIR`` asserts each
-captured simulate ``result`` object is byte-identical to the one a
-prior single-process run wrote to DIR::
+captured simulate ``result`` object, and each ``error_<n>`` envelope
+from the malformed requests every run sends, is byte-identical to the
+one a prior single-process run wrote to DIR::
 
     PYTHONPATH=src python scripts/service_smoke.py --payload-dir single
     PYTHONPATH=src python scripts/service_smoke.py --payload-dir fleet \
@@ -38,6 +39,7 @@ prior single-process run wrote to DIR::
 """
 
 import argparse
+import http.client
 import json
 import os
 import re
@@ -76,6 +78,34 @@ ANALYTIC_REQUESTS = [
     ("ranking", {"base_hit_ratio": 0.9, "betas": [2.0, 8.0, 32.0]}),
     ("advise", {"memory_cycle": 12.0}),
 ]
+
+
+#: Malformed requests (a literal ``Infinity``, a bad ``caches[1]``, an
+#: unknown key): each must be a 400 whose envelope every topology
+#: renders byte for byte the same.
+MALFORMED_REQUESTS = [
+    (
+        "/v1/execution-time",
+        b'{"params": {"hit_ratio": 0.9, "instructions": Infinity}}',
+    ),
+    (
+        "/v1/sweep",
+        b'{"params": {"caches": [{}, {"total_bytes": 3000}], '
+        b'"memory_cycles": [4.0]}}',
+    ),
+    ("/v1/simulate", b'{"params": {"memory_cycle": 4.0, "warp": 9}}'),
+]
+
+
+def post_raw(port: int, path: str, body: bytes) -> tuple[int, dict]:
+    """POST raw bytes (which the client would not send); (status, envelope)."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30.0)
+    try:
+        conn.request("POST", path, body=body)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
 
 
 def launch_server(access_log: Path, workers: int = 1) -> tuple[subprocess.Popen, int]:
@@ -142,7 +172,8 @@ def main(argv=None) -> int:
         default=None,
         metavar="DIR",
         help="payload dir from a prior run; every captured simulate "
-        "result object must be byte-identical to its counterpart there",
+        "result object and error envelope must be byte-identical to its "
+        "counterpart there",
     )
     args = parser.parse_args(argv)
     payload_dir = Path(args.payload_dir)
@@ -243,6 +274,11 @@ def main(argv=None) -> int:
                     f"worker w0 (pid {victim_pid}) was not respawned "
                     f"within 30s of SIGKILL"
                 )
+        for n, (path, body) in enumerate(MALFORMED_REQUESTS):
+            status, envelope = post_raw(port, path, body)
+            if status != 400:
+                failures.append(f"malformed {path} request answered {status}")
+            record(f"error_{n}", envelope)
         stats = probe.stats_envelope()
         record("stats", stats)
         if args.workers > 1:
@@ -437,21 +473,24 @@ def main(argv=None) -> int:
     # Byte-identity across topologies: the fleet run must serialize the
     # same result objects a single-process run produced for every
     # simulate point (the router forwards worker bodies verbatim and
-    # sharding must not change what gets computed).
+    # sharding must not change what gets computed), and the same 400
+    # envelopes for the malformed requests.
     if args.compare_results is not None:
         reference_dir = Path(args.compare_results)
         compared = 0
         for name, envelope in sorted(captured.items()):
-            if not name.startswith("simulate_"):
+            if not name.startswith(("simulate_", "error_")):
                 continue
             reference_path = reference_dir / f"{name}.json"
             if not reference_path.exists():
                 failures.append(f"no reference envelope {reference_path}")
                 continue
             reference = json.loads(reference_path.read_text())
-            if dump_json(reference["result"]) != dump_json(envelope["result"]):
+            if name.startswith("simulate_"):
+                reference, envelope = reference["result"], envelope["result"]
+            if dump_json(reference) != dump_json(envelope):
                 failures.append(
-                    f"{name}: result differs from the run in {reference_dir}/"
+                    f"{name}: differs from the run in {reference_dir}/"
                 )
             compared += 1
         if compared == 0:
@@ -460,8 +499,8 @@ def main(argv=None) -> int:
             )
         else:
             print(
-                f"compared {compared} simulate results against "
-                f"{reference_dir}/"
+                f"compared {compared} simulate results and error envelopes "
+                f"against {reference_dir}/"
             )
 
     for name, envelope in sorted(captured.items()):

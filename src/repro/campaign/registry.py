@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.campaign import spec as spec_mod
-from repro.obs.schemas import SchemaError, require
+from repro.obs.schemas import validate_indexed_stream
 from repro.service import queries
 from repro.service.result_cache import (
     RESULT_CACHE_VERSION,
@@ -59,6 +59,7 @@ from repro.util.blobstore import (
     report_corrupt,
 )
 from repro.util.jsonout import dump_json, dump_json_line
+from repro.util.schema import SchemaError, anything, const, number, obj, require
 
 #: Bump when the on-disk layout (file naming, sidecar format) changes.
 REGISTRY_VERSION = 1
@@ -502,73 +503,14 @@ class CampaignRegistry:
 # -- offline validation (``python -m repro.obs.validate --campaign``) ------
 
 
-def _validate_results_lines(
-    lines: list[bytes], campaign: Campaign
-) -> dict[str, Any]:
-    require(len(lines) >= 2, "$", "results must have header and summary lines")
-    header = json.loads(lines[0])
-    require(
-        header.get("schema") == CAMPAIGN_RESULTS_SCHEMA,
-        "$[0].schema",
-        f"must be {CAMPAIGN_RESULTS_SCHEMA!r}",
-    )
-    require(
-        header.get("campaign") == campaign.id,
-        "$[0].campaign",
-        "must match the campaign id",
-    )
-    require(
-        header.get("points") == campaign.points,
-        "$[0].points",
-        "must match the spec's grid size",
-    )
-    summary = json.loads(lines[-1])
-    require(summary.get("done") is True, "$[-1].done", "must be true")
-    seen: set[int] = set()
-    errors = 0
-    excluded = 0
-    for i, raw in enumerate(lines[1:-1], start=1):
-        record = json.loads(raw)
-        path = f"$[{i}]"
-        index = record.get("index")
-        require(
-            isinstance(index, int) and 0 <= index < campaign.points,
-            f"{path}.index",
-            f"must be an integer within [0, {campaign.points})",
-        )
-        require(index not in seen, f"{path}.index", "duplicate point index")
-        seen.add(index)
-        require(
-            isinstance(record.get("point"), dict),
-            f"{path}.point",
-            "must be an object",
-        )
-        if record.get("excluded"):
-            excluded += 1
-        elif "error" in record:
-            errors += 1
-        else:
-            require(
-                isinstance(record.get("result"), dict),
-                f"{path}.result",
-                "must be an object",
-            )
-    require(
-        len(seen) == campaign.points,
-        "$",
-        f"stream carries {len(seen)} points, spec promises {campaign.points}",
-    )
-    require(
-        summary.get("errors") == errors,
-        "$[-1].errors",
-        f"summary says {summary.get('errors')!r}, stream carries {errors}",
-    )
-    require(
-        summary.get("excluded") == excluded,
-        "$[-1].excluded",
-        f"summary says {summary.get('excluded')!r}, stream carries {excluded}",
-    )
-    return {"errors": errors, "excluded": excluded}
+_RESULTS_SUMMARY = obj(
+    {"done": const(True), **dict.fromkeys(("errors", "excluded", "points"), number())},
+    rest=anything,
+)
+_SUMMARY_DOC = obj(
+    {"schema": const(CAMPAIGN_SUMMARY_SCHEMA), "results_sha256": anything},
+    rest=anything,
+)
 
 
 def validate_campaign_dir(path: str | os.PathLike[str]) -> dict[str, Any]:
@@ -613,20 +555,23 @@ def validate_campaign_dir(path: str | os.PathLike[str]) -> dict[str, Any]:
     out: dict[str, Any] = {"campaign": campaign.id, **counts}
     if campaign.results_path.exists():
         data = campaign.results_path.read_bytes()
-        lines = [line for line in data.split(b"\n") if line.strip()]
-        out["results"] = _validate_results_lines(lines, campaign)
+        header = obj(
+            {
+                "schema": const(CAMPAIGN_RESULTS_SCHEMA),
+                "campaign": const(campaign.id),
+                "points": const(campaign.points),
+            },
+            rest=anything,
+        )
+        records = [json.loads(line) for line in data.split(b"\n") if line.strip()]
+        out["results"] = validate_indexed_stream(records, header, _RESULTS_SUMMARY)
         if campaign.summary_path.exists():
-            summary = json.loads(
-                campaign.summary_path.read_text(encoding="utf-8")
+            summary = _SUMMARY_DOC(
+                json.loads(campaign.summary_path.read_text(encoding="utf-8")),
+                "$.summary",
             )
             require(
-                summary.get("schema") == CAMPAIGN_SUMMARY_SCHEMA,
-                "$.summary.schema",
-                f"must be {CAMPAIGN_SUMMARY_SCHEMA!r}",
-            )
-            require(
-                summary.get("results_sha256")
-                == hashlib.sha256(data).hexdigest(),
+                summary["results_sha256"] == hashlib.sha256(data).hexdigest(),
                 "$.summary.results_sha256",
                 "does not match results.jsonl (torn write?)",
             )

@@ -15,13 +15,11 @@ A campaign spec is a JSON document describing a cross-product grid:
       "exclude": [{"cache_index": 0, "policy": "BL"}]
     }
 
-Validation extends the :mod:`repro.obs.schemas` hand-rolled style the
-service request validators use — indeed the per-trace and per-cache
-blocks *are* the service validators
-(:func:`repro.service.schemas.validate_trace_spec` /
-:func:`~repro.service.schemas.validate_cache_spec`), re-rooted at the
-campaign document's paths — so a campaign point expands to exactly the
-validated shape ``/v1/simulate`` accepts.
+Validation is declared on :mod:`repro.util.schema`, and the trace,
+``caches``, ``policies``, ``memory_cycles`` and per-point option fields
+*are* the ``/v1/sweep`` declarations (:mod:`repro.service.schemas`),
+re-rooted at the campaign document's paths, so a campaign point expands
+to exactly the validated shape ``/v1/simulate`` accepts.
 
 Normalization applies every default, which makes the canonical
 rendering (:func:`canonical_bytes`, the repository's standard
@@ -46,15 +44,29 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from repro.obs.schemas import SchemaError, require, require_number
 from repro.service.schemas import (
+    CACHES,
     MAX_SWEEP_POINTS,
-    validate_cache_spec,
-    validate_trace_spec,
+    MEMORY_CYCLES,
+    POINT_OPTIONS,
+    POLICIES,
+    POLICY,
+    TRACE,
+    caches_cover_bus,
+    grid_limit,
 )
-from repro.service.schemas import _POLICIES  # noqa: PLC2701 - shared enum
-from repro.service.schemas import _integer, _number  # noqa: PLC2701
 from repro.util.jsonout import dump_json
+from repro.util.schema import (
+    OMIT,
+    SchemaError,
+    array,
+    const,
+    integer,
+    nullable,
+    number,
+    obj,
+    string,
+)
 
 __all__ = [
     "CAMPAIGN_SPEC_SCHEMA",
@@ -83,57 +95,84 @@ MAX_TRACES = 16
 #: the sweep limit: a campaign is at most ``MAX_TRACES`` sweeps.
 MAX_CAMPAIGN_POINTS = MAX_SWEEP_POINTS
 
-_NAME_ALLOWED = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-"
+_NAME_LENGTH = string(r"(?s).{1,64}", "must be a string of 1..64 characters")
+_NAME_CHARS = string(
+    r"[A-Za-z0-9_-][A-Za-z0-9._-]*",
+    "may use only letters, digits, '.', '_', '-' (no leading '.')",
 )
-
-_EXCLUDE_KEYS = ("trace_index", "cache_index", "policy", "memory_cycle")
 
 
 def validate_name(name: Any, path: str) -> str:
     """A campaign/baseline name: short, path-safe, non-empty."""
-    require(
-        isinstance(name, str) and 0 < len(name) <= 64,
-        path,
-        "must be a string of 1..64 characters",
-    )
-    require(
-        all(c in _NAME_ALLOWED for c in name) and not name.startswith("."),
-        path,
-        "may use only letters, digits, '.', '_', '-' (no leading '.')",
-    )
-    return name
+    return _NAME_CHARS(_NAME_LENGTH(name, path), path)
 
 
-def _validate_exclude(
-    rule: Any, path: str, n_traces: int, n_caches: int
-) -> dict[str, Any]:
-    require(isinstance(rule, dict), path, "must be a JSON object")
-    unknown = sorted(set(rule) - set(_EXCLUDE_KEYS))
-    require(not unknown, path, f"unknown exclusion key(s) {unknown}")
-    require(bool(rule), path, "must constrain at least one of "
-            f"{list(_EXCLUDE_KEYS)}")
-    out: dict[str, Any] = {}
-    if "trace_index" in rule:
-        out["trace_index"] = _integer(
-            rule, "trace_index", path, minimum=0, maximum=n_traces - 1
+_EXCLUDE_RULE_FIELDS = {
+    "trace_index": (integer(ge=0), OMIT),
+    "cache_index": (integer(ge=0), OMIT),
+    "policy": (POLICY, OMIT),
+    "memory_cycle": (number(), OMIT),
+}
+_EXCLUDE_AXES = {"trace_index": "traces", "cache_index": "caches"}
+
+
+def _constrains_a_key(rule: dict[str, Any], path: str) -> None:
+    if not rule:
+        raise SchemaError(
+            f"{path}: must constrain at least one of {list(_EXCLUDE_RULE_FIELDS)}"
         )
-    if "cache_index" in rule:
-        out["cache_index"] = _integer(
-            rule, "cache_index", path, minimum=0, maximum=n_caches - 1
-        )
-    if "policy" in rule:
-        policy = rule["policy"]
-        require(
-            isinstance(policy, str) and policy in _POLICIES,
-            f"{path}.policy",
-            f"must be one of {list(_POLICIES)}",
-        )
-        out["policy"] = policy
-    if "memory_cycle" in rule:
-        require_number(rule["memory_cycle"], f"{path}.memory_cycle")
-        out["memory_cycle"] = float(rule["memory_cycle"])
-    return out
+
+
+def _rules_inside_grid(spec: dict[str, Any], path: str) -> None:
+    """An exclusion index names an existing trace or cache."""
+    for i, rule in enumerate(spec["exclude"]):
+        for key, axis in _EXCLUDE_AXES.items():
+            if key in rule:
+                in_grid = integer(le=len(spec[axis]) - 1)
+                in_grid(rule[key], f"{path}.exclude[{i}].{key}")
+
+
+_SPEC = obj(
+    {
+        "schema": (const(CAMPAIGN_SPEC_SCHEMA), CAMPAIGN_SPEC_SCHEMA),
+        "name": (validate_name, OMIT),
+        "traces": (
+            array(
+                TRACE,
+                min_len=1,
+                max_len=MAX_TRACES,
+                message=f"must be a non-empty list of at most {MAX_TRACES} "
+                "trace specs",
+            ),
+            [{"kind": "spec92"}],
+        ),
+        "caches": (CACHES, [{}]),
+        "policies": (POLICIES, ["FS"]),
+        "memory_cycles": (MEMORY_CYCLES, [8.0]),
+        # The normal form spells absent optionals as explicit nulls, so
+        # null reads as absent here: validate(validate(x)) == validate(x).
+        **{
+            name: (check, default) if default is not None
+            else (nullable(check), None)
+            for name, (check, default) in POINT_OPTIONS.items()
+        },
+        "exclude": (
+            array(
+                obj(
+                    _EXCLUDE_RULE_FIELDS,
+                    unknown="unknown exclusion key(s) {}",
+                    after=(_constrains_a_key,),
+                ),
+                max_len=256,
+                message="must be a list of at most 256 exclusion rules",
+            ),
+            [],
+        ),
+    },
+    unknown="unknown key(s) {}",
+    message="spec must be a JSON object",
+    after=(caches_cover_bus, grid_limit, _rules_inside_grid),
+)
 
 
 def validate_spec(document: Any) -> dict[str, Any]:
@@ -144,131 +183,7 @@ def validate_spec(document: Any) -> dict[str, Any]:
     is the form the registry persists and :func:`campaign_id` hashes.
     Raises :class:`SchemaError` with a JSON-path message otherwise.
     """
-    require(isinstance(document, dict), "$", "spec must be a JSON object")
-    allowed = {
-        "schema",
-        "name",
-        "traces",
-        "caches",
-        "policies",
-        "memory_cycles",
-        "bus_width",
-        "write_buffer_depth",
-        "pipelined_q",
-        "issue_rate",
-        "deadline_ms",
-        "exclude",
-    }
-    unknown = sorted(set(document) - allowed)
-    require(not unknown, "$", f"unknown key(s) {unknown}")
-    if "schema" in document:
-        require(
-            document["schema"] == CAMPAIGN_SPEC_SCHEMA,
-            "$.schema",
-            f"must be {CAMPAIGN_SPEC_SCHEMA!r}",
-        )
-    out: dict[str, Any] = {"schema": CAMPAIGN_SPEC_SCHEMA}
-    if "name" in document:
-        out["name"] = validate_name(document["name"], "$.name")
-
-    traces = document.get("traces", [{"kind": "spec92"}])
-    require(
-        isinstance(traces, list) and traces and len(traces) <= MAX_TRACES,
-        "$.traces",
-        f"must be a non-empty list of at most {MAX_TRACES} trace specs",
-    )
-    out["traces"] = [
-        validate_trace_spec(spec, f"$.traces[{i}]")
-        for i, spec in enumerate(traces)
-    ]
-
-    caches = document.get("caches", [{}])
-    require(
-        isinstance(caches, list) and caches and len(caches) <= 64,
-        "$.caches",
-        "must be a non-empty list of at most 64 cache specs",
-    )
-    out["caches"] = [
-        validate_cache_spec(spec, f"$.caches[{i}]")
-        for i, spec in enumerate(caches)
-    ]
-
-    out["bus_width"] = _integer(document, "bus_width", "$", default=4, minimum=1)
-    for i, cache in enumerate(out["caches"]):
-        require(
-            cache["line_size"] % out["bus_width"] == 0,
-            f"$.caches[{i}].line_size",
-            f"must be a multiple of bus_width ({out['bus_width']})",
-        )
-
-    policies = document.get("policies", ["FS"])
-    require(
-        isinstance(policies, list) and policies,
-        "$.policies",
-        "must be a non-empty list of stall policies",
-    )
-    for i, policy in enumerate(policies):
-        require(
-            isinstance(policy, str) and policy in _POLICIES,
-            f"$.policies[{i}]",
-            f"must be one of {list(_POLICIES)}",
-        )
-    out["policies"] = list(policies)
-
-    betas = document.get("memory_cycles", [8.0])
-    require(
-        isinstance(betas, list) and betas,
-        "$.memory_cycles",
-        "must be a non-empty list of numbers",
-    )
-    for i, beta in enumerate(betas):
-        require_number(beta, f"$.memory_cycles[{i}]")
-        require(beta >= 1.0, f"$.memory_cycles[{i}]", "must be >= 1")
-    out["memory_cycles"] = [float(beta) for beta in betas]
-
-    # The normal form spells absent optionals as explicit nulls, so
-    # treat null as absent here — validate(validate(x)) == validate(x).
-    optionals = {
-        key: value
-        for key, value in document.items()
-        if key in ("write_buffer_depth", "pipelined_q", "deadline_ms")
-        and value is not None
-    }
-    out["write_buffer_depth"] = _integer(
-        optionals, "write_buffer_depth", "$", minimum=0
-    )
-    out["pipelined_q"] = _number(optionals, "pipelined_q", "$", minimum=1.0)
-    out["issue_rate"] = _number(
-        document, "issue_rate", "$", default=1.0, minimum=1.0
-    )
-    out["deadline_ms"] = _number(optionals, "deadline_ms", "$", minimum=1.0)
-
-    points = (
-        len(out["traces"])
-        * len(out["caches"])
-        * len(out["policies"])
-        * len(out["memory_cycles"])
-    )
-    require(
-        points <= MAX_CAMPAIGN_POINTS,
-        "$",
-        f"grid expands to {points} points, more than the "
-        f"{MAX_CAMPAIGN_POINTS}-point limit",
-    )
-
-    rules = document.get("exclude", [])
-    require(
-        isinstance(rules, list) and len(rules) <= 256,
-        "$.exclude",
-        "must be a list of at most 256 exclusion rules",
-    )
-    out["exclude"] = [
-        _validate_exclude(
-            rule, f"$.exclude[{i}]", len(out["traces"]), len(out["caches"])
-        )
-        for i, rule in enumerate(rules)
-    ]
-    return out
+    return _SPEC(document, "$")
 
 
 def canonical_bytes(spec: dict[str, Any]) -> bytes:

@@ -61,13 +61,6 @@ from repro.obs.profile import (
     folded_text,
     phase_self_seconds,
 )
-from repro.obs.schemas import (
-    SchemaError,
-    validate_chrome_trace,
-    validate_manifest,
-    validate_metrics,
-    validate_profile,
-)
 from repro.obs.tracing import (
     Tracer,
     current_tracer,
@@ -89,7 +82,6 @@ __all__ = [
     "MetricsRegistry",
     "ProfilerActiveError",
     "SamplingProfiler",
-    "SchemaError",
     "Tracer",
     "active_profiler",
     "build_manifest",
@@ -112,9 +104,5 @@ __all__ = [
     "spans_active",
     "stable_view",
     "tracing_enabled",
-    "validate_chrome_trace",
-    "validate_manifest",
-    "validate_metrics",
-    "validate_profile",
     "write_manifest",
 ]

@@ -1,26 +1,41 @@
-"""Lightweight schema validation for the observability artifacts.
+"""Declared schemas for the observability artifacts.
 
-The reproduction environment is offline (no ``jsonschema``), so each
-artifact gets a hand-rolled structural validator: Chrome trace files
-(``--trace``), metrics snapshots (``--metrics``), and run manifests
-(``<id>.meta.json``).  Validators raise :class:`SchemaError` with a
+Chrome trace files (``--trace``), metrics snapshots (``--metrics``), run
+manifests (``<id>.meta.json``), profiles, the bench scoreboards, access
+logs, span spools and the service's response envelopes are declared as
+:mod:`repro.util.schema` tables, so the reproduction needs no
+``jsonschema``.  Validators raise :class:`SchemaError` with a
 JSON-path-style message on the first violation; CI runs them over the
 smoke run's artifacts via ``python -m repro.obs.validate``.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Any
 
 from repro.obs.manifest import MANIFEST_SCHEMA
 from repro.obs.metrics import SNAPSHOT_SCHEMA
 from repro.obs.profile import PROFILE_SCHEMA
-
-
-class SchemaError(ValueError):
-    """An artifact does not match its documented schema."""
-
+from repro.util.schema import (
+    OMIT,
+    Check,
+    Invariant,
+    SchemaError,
+    anything,
+    array,
+    boolean,
+    choice,
+    const,
+    either,
+    integer,
+    mapping,
+    nullable,
+    number,
+    obj,
+    require,
+    string,
+    union,
+)
 
 #: Committed engine scoreboard (``BENCH_engine.json``).  ``/2`` added
 #: ``all_quick_s`` and the per-engine ``dispatch`` section, and made
@@ -72,9 +87,6 @@ ACCESS_LOG_SCHEMAS = ("repro.obs.access_log/1", ACCESS_LOG_SCHEMA)
 #: One line of a per-process span spool (see :mod:`repro.obs.span_spool`).
 SPANS_SCHEMA = "repro.obs.spans/1"
 
-_TRACE_ID_RE = re.compile(r"^[0-9a-f]{32}$")
-_SPAN_ID_RE = re.compile(r"^[0-9a-f]{16}$")
-
 #: One appended entry of ``results/bench_history.jsonl`` (see
 #: :mod:`repro.obs.bench_history`).
 BENCH_HISTORY_SCHEMA = "repro.obs.bench_history/1"
@@ -92,57 +104,503 @@ SERVICE_STATS_SCHEMA = "repro.service.stats/1"
 SERVICE_SWEEP_SCHEMA = "repro.service.sweep/1"
 
 
-def require(condition: bool, path: str, message: str) -> None:
-    """Raise :class:`SchemaError` at ``path`` unless ``condition`` holds.
-
-    Shared by every hand-rolled validator in the repository (including
-    the request validators in :mod:`repro.service.schemas`).
-    """
-    if not condition:
-        raise SchemaError(f"{path}: {message}")
+def _open(fields: dict[str, Any], *after: Invariant) -> Check:
+    """An artifact object: the declared fields, any other keys allowed."""
+    return obj(fields, rest=anything, after=after)
 
 
-def require_number(value: Any, path: str) -> None:
-    """Require a real JSON number (bools are not numbers)."""
+def _ordered(low: str, high: str) -> Invariant:
+    def invariant(entry: dict[str, Any], path: str) -> None:
+        require(entry[low] <= entry[high], path, f"{low} must be <= {high}")
+
+    return invariant
+
+
+def _no_step_calls(reason: str) -> Invariant:
+    def invariant(dispatch: dict[str, Any], path: str) -> None:
+        require(
+            dispatch["step_calls"] == 0, f"{path}.step_calls", f"must be 0: {reason}"
+        )
+
+    return invariant
+
+
+_NUMBER = number()
+_NON_NEGATIVE = number(ge=0)
+_POSITIVE = number(gt=0)
+_NAME = string()
+_TEXT = string(r"(?s).*", "must be a string")
+_TRACE_ID = string(r"[0-9a-f]{32}", "must be 32 lowercase hex characters")
+_SPAN_ID = string(r"[0-9a-f]{16}", "must be 16 lowercase hex characters")
+_OBJECT = mapping()
+
+_SNAPSHOT = {
+    "counters": mapping(_NUMBER),
+    "histograms": mapping(
+        _open(
+            dict.fromkeys(("count", "sum", "min", "max"), _NUMBER),
+            _ordered("min", "max"),
+        )
+    ),
+}
+
+#: The environment provenance of a bench scoreboard: python version,
+#: logical cpu count and platform string (all hostname-free); ``git_sha``
+#: is present but may be null off-repo.
+_BENCH_PROVENANCE = _open(
+    {
+        "python": _NAME,
+        "platform": _NAME,
+        "cpu_count": integer(ge=1),
+        "git_sha": nullable(_NAME),
+    }
+)
+
+#: A ``{phase: {samples, self_s, fraction}}`` self-time table.
+_PHASES = mapping(
+    _open(
+        {
+            **dict.fromkeys(("samples", "self_s"), _NON_NEGATIVE),
+            "fraction": number(ge=0, le=1.0),
+        }
+    ),
+    min_len=1,
+)
+
+#: A bench scoreboard's profiled workload, sampling parameters and
+#: span-attributed self-time table.
+_PHASE_BREAKDOWN = _open(
+    {
+        "source": _NAME,
+        "profile_id": _NAME,
+        "hz": integer(ge=1),
+        "duration_s": _NUMBER,
+        "phases": _PHASES,
+    }
+)
+
+
+_SPAN_TIMES = _open({"ts": _NUMBER, "dur": _NON_NEGATIVE})
+
+
+def _complete_event_times(event: dict[str, Any], path: str) -> None:
+    """A complete ("X") event carries its start and duration."""
+    if event["ph"] == "X":
+        _SPAN_TIMES(event, path)
+
+
+_CHROME_TRACE = _open(
+    {
+        "traceEvents": array(
+            _open(
+                {
+                    "name": _TEXT,
+                    "ph": string(r"(?s).", "must be a 1-char phase code"),
+                    "pid": _NUMBER,
+                    "tid": _NUMBER,
+                    "args": (_OBJECT, OMIT),
+                },
+                _complete_event_times,
+            )
+        )
+    }
+)
+
+_SPAN_RECORD = _open(
+    {
+        "schema": const(SPANS_SCHEMA),
+        "seq": integer(ge=0),
+        "wall_end": _NUMBER,
+        "name": _NAME,
+        "ph": const("X"),
+        "ts": _NUMBER,
+        "dur": _NON_NEGATIVE,
+        "pid": _NUMBER,
+        "tid": _NUMBER,
+        "args": _open(
+            {
+                "trace_id": (_TRACE_ID, OMIT),
+                "span_id": (_SPAN_ID, OMIT),
+                "parent_span_id": (_SPAN_ID, OMIT),
+            }
+        ),
+    }
+)
+
+_METRICS = _open({"schema": const(SNAPSHOT_SCHEMA), **_SNAPSHOT})
+
+_HEAP_SITE = _open({"site": _NAME, "size_kib": _NUMBER, "count": _NUMBER})
+_HEAP = _open({"traced_kib": _NUMBER, "peak_kib": _NUMBER, "top": array(_HEAP_SITE)})
+
+_PROFILE = _open(
+    {
+        "schema": const(PROFILE_SCHEMA),
+        "id": _NAME,
+        "hz": integer(ge=1, le=1000),
+        "duration_s": _NON_NEGATIVE,
+        "samples": _NON_NEGATIVE,
+        "thread_samples": _NON_NEGATIVE,
+        "threads": mapping(_NUMBER),
+        "folded": array(
+            string(
+                r"(?s).+ [0-9]*[1-9][0-9]*",
+                "must be a collapsed stack: 'thread;frame;... count'",
+            )
+        ),
+        "phases": _PHASES,
+        "heap": (nullable(_HEAP), None),
+        "provenance": _open({"python": _NAME, "created_at": _NAME}),
+    }
+)
+
+_BENCH_ENGINE = _open(
+    {
+        "schema": const(BENCH_ENGINE_SCHEMA),
+        "benchmarks": obj(
+            dict.fromkeys(
+                (
+                    "phase1_extract_60k_s",
+                    "phase1_reuse_s",
+                    "phase1_derive_marginal_s",
+                    "phase2_replay_point_s",
+                    "step_simulator_point_s",
+                    "figure1_quick_s",
+                    "all_quick_s",
+                ),
+                _NON_NEGATIVE,
+            ),
+            rest=_NON_NEGATIVE,
+        ),
+        "speedup_replay_vs_step": _NUMBER,
+        "dispatch": _open(
+            {
+                "replay_calls": _POSITIVE,
+                "step_calls": _NUMBER,
+                "step_fallback_reasons": mapping(_NUMBER),
+                "phase1": _open(
+                    {
+                        "reuse_calls": _POSITIVE,
+                        "step_calls": _NUMBER,
+                        "step_reasons": mapping(_NUMBER),
+                    },
+                    _no_step_calls(
+                        "the registry sweep is LRU-only, yet a phase-1 "
+                        "extraction stepped Cache (reasons in "
+                        "$.dispatch.phase1.step_reasons)"
+                    ),
+                ),
+            },
+            _no_step_calls(
+                "a registry experiment fell back to the step simulator "
+                "(reasons in $.dispatch.step_fallback_reasons)"
+            ),
+        ),
+        "metrics": _open(_SNAPSHOT),
+        "phase_breakdown": _PHASE_BREAKDOWN,
+        "profiler_overhead": _open(
+            {
+                **dict.fromkeys(("off_s", "on_s", "ratio"), _POSITIVE),
+                "hz": integer(ge=1),
+            }
+        ),
+        "provenance": _BENCH_PROVENANCE,
+    }
+)
+
+
+def _levels_keyed_by_clients(levels: dict[str, Any], path: str) -> None:
+    """Each level is keyed by its client count, checked before its stats."""
+    for key, level in levels.items():
+        level_path = f"{path}[{key!r}]"
+        require(
+            key.isdecimal() and _OBJECT(level, level_path).get("clients") == int(key),
+            f"{level_path}.clients",
+            f"must equal the level key ({key})",
+        )
+        _LEVEL(level, level_path)
+
+
+def _sixteen_clients_coalesce(levels: dict[str, Any], path: str) -> None:
     require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        path,
-        f"expected a number, got {type(value).__name__}",
+        levels["16"]["coalescing_ratio"] > 1.0,
+        f"{path}['16'].coalescing_ratio",
+        "must be > 1: 16 concurrent clients over shared (trace, geometry) "
+        "keys must coalesce into shared batch groups",
     )
 
 
-# Internal aliases predating the public names.
-_require = require
-_require_number = require_number
+def _one_extraction_per_key(coalescing: dict[str, Any], path: str) -> None:
+    extractions = coalescing["phase1_extractions"]
+    keys = coalescing["distinct_keys"]
+    require(
+        extractions == keys,
+        path,
+        f"phase-1 must run once per key: {extractions!r} extractions for "
+        f"{keys!r} keys",
+    )
+
+
+_LEVEL = _open(
+    {
+        "requests": _NUMBER,
+        "errors": number(ge=0, le=0),
+        "throughput_rps": _POSITIVE,
+        "coalescing_ratio": _NUMBER,
+        "cache_hit_rate": number(ge=0, le=1.0),
+        "latency_ms": _open(
+            dict.fromkeys(("p50", "p99", "mean", "max"), _NON_NEGATIVE),
+            _ordered("p50", "p99"),
+        ),
+        "client": _open(
+            {
+                "retries": _NON_NEGATIVE,
+                "latency_ms": _open({"p50": _NUMBER, "p99": _NUMBER}),
+            }
+        ),
+    }
+)
+
+
+def _capacity_section(workers: Check) -> Check:
+    rung = _open(
+        {
+            "offered_rps": _POSITIVE,
+            **dict.fromkeys(
+                ("achieved_rps", "p50_ms", "p99_ms", "shed", "errors"), _NON_NEGATIVE
+            ),
+        },
+        _ordered("p50_ms", "p99_ms"),
+    )
+    return _open(
+        {
+            "workers": workers,
+            "max_sustained_rps": _NON_NEGATIVE,
+            "curve": array(
+                rung, min_len=1, message="must be a non-empty list of load rungs"
+            ),
+        }
+    )
+
+
+_BENCH_SERVICE = _open(
+    {
+        "schema": const(BENCH_SERVICE_SCHEMA),
+        "server": _OBJECT,
+        "workload": _open({"requests_per_client": _NUMBER}),
+        "levels": _open(
+            dict.fromkeys(("1", "4", "16"), anything),
+            _levels_keyed_by_clients,
+            _sixteen_clients_coalesce,
+        ),
+        "coalescing": _open(
+            {"distinct_keys": _NUMBER, "phase1_extractions": _NUMBER},
+            _one_extraction_per_key,
+        ),
+        "warm_cache": _open(
+            {
+                "p50_ms": _NUMBER,
+                "p99_ms": _NUMBER,
+                "cold_compute_ms": _NUMBER,
+                "speedup": number(gt=1.0),
+            }
+        ),
+        "dispatch": _open(
+            {"replay_calls": _POSITIVE, "step_calls": _NUMBER},
+            _no_step_calls("a service query fell back to the step simulator"),
+        ),
+        # The /4 open-loop capacity headline; a fleet has several workers.
+        "capacity": _open(
+            {
+                "slo_p99_ms": _POSITIVE,
+                "single": _capacity_section(integer(ge=1)),
+                "fleet": _capacity_section(integer(gt=1)),
+            }
+        ),
+        "phase_breakdown": _PHASE_BREAKDOWN,
+        "provenance": _BENCH_PROVENANCE,
+    }
+)
+
+_ERROR = _open({"code": _NAME, "message": _TEXT, "status": integer(ge=400, le=599)})
+
+_SERVICE_RESPONSE = union(
+    "schema",
+    {
+        SERVICE_RESPONSE_SCHEMA: _open(
+            {
+                "endpoint": _TEXT,
+                "result": either(
+                    _OBJECT, array(), message="must be an object or list"
+                ),
+                "cached": (boolean, OMIT),
+            }
+        ),
+        SERVICE_ERROR_SCHEMA: _open({"error": _ERROR}),
+        SERVICE_STATS_SCHEMA: _open(
+            {
+                **_SNAPSHOT,
+                "queue": _open({"depth": _NUMBER, "limit": _NUMBER}),
+                "result_cache": _open(
+                    dict.fromkeys(
+                        ("entries", "bytes", "capacity_bytes", "hits", "misses"),
+                        _NUMBER,
+                    )
+                ),
+                "latency": mapping(
+                    _open(dict.fromkeys(("count", "p50_ms", "p99_ms"), _NUMBER))
+                ),
+            }
+        ),
+    },
+)
+
+_ACCESS_LOG_RECORD = _open(
+    {
+        "schema": choice(ACCESS_LOG_SCHEMAS),
+        "ts": _NUMBER,
+        "request_id": _NAME,
+        "method": _NAME,
+        "path": _NAME,
+        "endpoint": _NAME,
+        "status": integer(ge=100, le=599),
+        "latency_ms": _NON_NEGATIVE,
+        "cache": (choice(("hit", "miss")), OMIT),
+        "batched": (boolean, OMIT),
+        "error_code": (_NAME, OMIT),
+        "deadline_ms": (_NUMBER, OMIT),
+        "deadline_left_ms": (_NUMBER, OMIT),
+        "profile_id": (_NAME, OMIT),
+        "worker": (_NAME, OMIT),
+        # Campaign-annotated requests carry the (truncated) campaign id
+        # so a grep over the access log isolates one campaign's traffic.
+        "campaign": (_NAME, OMIT),
+        "trace_id": (_TRACE_ID, OMIT),
+        "span_id": (_SPAN_ID, OMIT),
+    }
+)
+
+_BENCH_HISTORY_ENTRY = _open(
+    {
+        "schema": const(BENCH_HISTORY_SCHEMA),
+        "recorded_at": _NAME,
+        "git_sha": (nullable(_TEXT), None),
+        "metrics": mapping(_NON_NEGATIVE, min_len=1),
+        "sources": _OBJECT,
+        "phases": (nullable(mapping(_NON_NEGATIVE)), None),
+    }
+)
+
+_EQ2_TERMS = (
+    "execute_cycles",
+    "read_stall_cycles",
+    "flush_stall_cycles",
+    "write_buffer_stall_cycles",
+)
+
+
+def _eq2_terms_sum(eq2: dict[str, Any], path: str) -> None:
+    total = sum(eq2[term] for term in _EQ2_TERMS)
+    require(
+        total == eq2["total_cycles"],
+        path,
+        f"terms sum to {total!r}, total_cycles says {eq2['total_cycles']!r}",
+    )
+
+
+_MANIFEST = _open(
+    {
+        "schema": const(MANIFEST_SCHEMA),
+        "experiment": _TEXT,
+        "config": _open({"quick": boolean}),
+        "engine": _open({"path": choice(("replay", "step", "mixed", "analytic"))}),
+        "eq2": _open(
+            dict.fromkeys((*_EQ2_TERMS, "total_cycles"), _NUMBER), _eq2_terms_sum
+        ),
+        "outputs": array(),
+        "metrics": _open(_SNAPSHOT),
+        "wall_time_s": _NUMBER,
+        "provenance": _open({"python": _TEXT, "created_at": _TEXT}),
+    }
+)
+
+# -- the indexed-stream framing --------------------------------------------
+
+_FRAMED = array(
+    min_len=2,
+    message="stream must be a list with at least header and summary lines",
+)
+_POINT_LINE = _open(
+    {
+        "index": integer(ge=0),
+        "point": _OBJECT,
+        "error": (_open({"code": _NAME}), OMIT),
+    }
+)
+_RESULT_LINE = _open({"result": _OBJECT})
+_SWEEP_HEADER = _open(
+    {"schema": const(SERVICE_SWEEP_SCHEMA), "points": integer(ge=0)}
+)
+_SWEEP_SUMMARY = _open({"done": const(True), "errors": _NUMBER, "points": _NUMBER})
+
+
+def validate_indexed_stream(
+    records: Any, header: Check, summary: Check
+) -> dict[str, int]:
+    """Validate an indexed JSONL stream; returns its error/excluded counts.
+
+    The framing shared by ``/v1/sweep`` and a campaign's ``results.jsonl``
+    (see ``docs/SERVICE.md``): a header line (checked by ``header``,
+    which yields the total ``points``), one line per grid point
+    (``result`` on success, ``error`` or ``excluded`` otherwise), and a
+    final summary line (checked by ``summary``) with ``done: true`` and
+    the counts.  Point lines may arrive in any order — the fleet router
+    interleaves shards as they complete — but every index in
+    ``[0, points)`` must appear exactly once.
+    """
+    records = _FRAMED(records, "$")
+    points = header(records[0], "$[0]")["points"]
+    totals = summary(records[-1], "$[-1]")
+    require(
+        totals["points"] == points,
+        "$[-1].points",
+        "must match the header's point count",
+    )
+    in_grid = integer(le=points - 1)
+    seen: set[int] = set()
+    counts = {"errors": 0, "excluded": 0}
+    for i in range(1, len(records) - 1):
+        path = f"$[{i}]"
+        line = _POINT_LINE(records[i], path)
+        index = in_grid(line["index"], f"{path}.index")
+        require(index not in seen, f"{path}.index", "duplicate point index")
+        seen.add(index)
+        if line.get("excluded"):
+            counts["excluded"] += 1
+        elif "error" in line:
+            counts["errors"] += 1
+        else:
+            _RESULT_LINE(line, path)
+    require(
+        len(seen) == points,
+        "$",
+        f"stream carries {len(seen)} distinct points, header promised {points}",
+    )
+    for name, count in counts.items():
+        said = totals.get(name, 0)
+        require(
+            said == count,
+            f"$[-1].{name}",
+            f"summary says {said!r}, stream carries {count}",
+        )
+    return counts
+
+
+# -- the validators ----------------------------------------------------------
 
 
 def validate_chrome_trace(document: Any) -> None:
     """Validate a Chrome trace-event document (Perfetto-loadable)."""
-    _require(isinstance(document, dict), "$", "trace must be a JSON object")
-    events = document.get("traceEvents")
-    _require(isinstance(events, list), "$.traceEvents", "must be a list")
-    for i, event in enumerate(events):
-        path = f"$.traceEvents[{i}]"
-        _require(isinstance(event, dict), path, "must be an object")
-        _require(
-            isinstance(event.get("name"), str), f"{path}.name", "must be a string"
-        )
-        phase = event.get("ph")
-        _require(
-            isinstance(phase, str) and len(phase) == 1,
-            f"{path}.ph",
-            "must be a 1-char phase code",
-        )
-        _require_number(event.get("pid"), f"{path}.pid")
-        _require_number(event.get("tid"), f"{path}.tid")
-        if phase == "X":
-            _require_number(event.get("ts"), f"{path}.ts")
-            _require_number(event.get("dur"), f"{path}.dur")
-            _require(event["dur"] >= 0, f"{path}.dur", "must be >= 0")
-        if "args" in event:
-            _require(
-                isinstance(event["args"], dict), f"{path}.args", "must be an object"
-            )
+    _CHROME_TRACE(document, "$")
 
 
 def validate_span_record(document: Any) -> None:
@@ -154,137 +612,12 @@ def validate_span_record(document: Any) -> None:
     to align spans across processes.  Trace-identity args, when present,
     must be well-formed hex ids.
     """
-    _require(isinstance(document, dict), "$", "record must be a JSON object")
-    _require(
-        document.get("schema") == SPANS_SCHEMA,
-        "$.schema",
-        f"must be {SPANS_SCHEMA!r}",
-    )
-    seq = document.get("seq")
-    _require(
-        isinstance(seq, int) and not isinstance(seq, bool) and seq >= 0,
-        "$.seq",
-        "must be a non-negative integer",
-    )
-    _require_number(document.get("wall_end"), "$.wall_end")
-    _require(
-        isinstance(document.get("name"), str) and document["name"],
-        "$.name",
-        "must be a non-empty string",
-    )
-    _require(document.get("ph") == "X", "$.ph", "must be 'X' (a complete span)")
-    for field in ("ts", "dur"):
-        _require_number(document.get(field), f"$.{field}")
-    _require(document["dur"] >= 0, "$.dur", "must be >= 0")
-    _require_number(document.get("pid"), "$.pid")
-    _require_number(document.get("tid"), "$.tid")
-    args = document.get("args")
-    _require(isinstance(args, dict), "$.args", "must be an object")
-    if "trace_id" in args:
-        _require(
-            isinstance(args["trace_id"], str)
-            and bool(_TRACE_ID_RE.match(args["trace_id"])),
-            "$.args.trace_id",
-            "must be 32 lowercase hex characters",
-        )
-    for field in ("span_id", "parent_span_id"):
-        if field in args:
-            _require(
-                isinstance(args[field], str)
-                and bool(_SPAN_ID_RE.match(args[field])),
-                f"$.args.{field}",
-                "must be 16 lowercase hex characters",
-            )
-
-
-def _validate_snapshot_body(snapshot: Any, path: str) -> None:
-    _require(isinstance(snapshot, dict), path, "must be an object")
-    counters = snapshot.get("counters")
-    _require(isinstance(counters, dict), f"{path}.counters", "must be an object")
-    for key, value in counters.items():
-        _require_number(value, f"{path}.counters[{key!r}]")
-    histograms = snapshot.get("histograms")
-    _require(
-        isinstance(histograms, dict), f"{path}.histograms", "must be an object"
-    )
-    for key, entry in histograms.items():
-        entry_path = f"{path}.histograms[{key!r}]"
-        _require(isinstance(entry, dict), entry_path, "must be an object")
-        for field in ("count", "sum", "min", "max"):
-            _require(field in entry, f"{entry_path}.{field}", "is required")
-            _require_number(entry[field], f"{entry_path}.{field}")
-        _require(
-            entry["min"] <= entry["max"],
-            entry_path,
-            "min must be <= max",
-        )
+    _SPAN_RECORD(document, "$")
 
 
 def validate_metrics(document: Any) -> None:
     """Validate an exported metrics snapshot (``--metrics`` file)."""
-    _require(isinstance(document, dict), "$", "metrics must be a JSON object")
-    _require(
-        document.get("schema") == SNAPSHOT_SCHEMA,
-        "$.schema",
-        f"must be {SNAPSHOT_SCHEMA!r}",
-    )
-    _validate_snapshot_body(document, "$")
-
-
-def validate_bench_provenance(document: Any, path: str = "$") -> None:
-    """Validate the environment-provenance block of a bench scoreboard.
-
-    Required by the ``/3`` engine and ``/2`` service schemas: python
-    version, logical cpu count, and platform string (all hostname-free);
-    ``git_sha`` is present but may be null off-repo.
-    """
-    provenance = document.get("provenance")
-    _require(
-        isinstance(provenance, dict), f"{path}.provenance", "must be an object"
-    )
-    for field in ("python", "platform"):
-        _require(
-            isinstance(provenance.get(field), str) and provenance[field],
-            f"{path}.provenance.{field}",
-            "must be a non-empty string",
-        )
-    cpu_count = provenance.get("cpu_count")
-    _require(
-        isinstance(cpu_count, int) and not isinstance(cpu_count, bool)
-        and cpu_count >= 1,
-        f"{path}.provenance.cpu_count",
-        "must be a positive integer",
-    )
-    _require("git_sha" in provenance, f"{path}.provenance.git_sha", "is required")
-    git_sha = provenance["git_sha"]
-    _require(
-        git_sha is None or (isinstance(git_sha, str) and git_sha),
-        f"{path}.provenance.git_sha",
-        "must be a non-empty string or null",
-    )
-
-
-def _validate_phase_table(phases: Any, path: str) -> None:
-    """Validate a ``{phase: {samples, self_s, fraction}}`` table."""
-    _require(isinstance(phases, dict), path, "must be an object")
-    _require(len(phases) > 0, path, "must not be empty")
-    for name, entry in phases.items():
-        entry_path = f"{path}[{name!r}]"
-        _require(
-            isinstance(name, str) and name, path, "phase names must be strings"
-        )
-        _require(isinstance(entry, dict), entry_path, "must be an object")
-        for field in ("samples", "self_s", "fraction"):
-            _require(field in entry, f"{entry_path}.{field}", "is required")
-            _require_number(entry[field], f"{entry_path}.{field}")
-            _require(
-                entry[field] >= 0, f"{entry_path}.{field}", "must be >= 0"
-            )
-        _require(
-            entry["fraction"] <= 1.0,
-            f"{entry_path}.fraction",
-            "must be within [0, 1]",
-        )
+    _METRICS(document, "$")
 
 
 def validate_profile(document: Any) -> None:
@@ -293,97 +626,7 @@ def validate_profile(document: Any) -> None:
     Checks the folded-stack lines (``frames... count``), the phase
     self-time table, the optional heap report, and provenance.
     """
-    _require(isinstance(document, dict), "$", "profile must be a JSON object")
-    _require(
-        document.get("schema") == PROFILE_SCHEMA,
-        "$.schema",
-        f"must be {PROFILE_SCHEMA!r}",
-    )
-    _require(
-        isinstance(document.get("id"), str) and document["id"],
-        "$.id",
-        "must be a non-empty string",
-    )
-    hz = document.get("hz")
-    _require(
-        isinstance(hz, int) and not isinstance(hz, bool) and 1 <= hz <= 1000,
-        "$.hz",
-        "must be an integer within [1, 1000]",
-    )
-    for field in ("duration_s", "samples", "thread_samples"):
-        _require_number(document.get(field), f"$.{field}")
-        _require(document[field] >= 0, f"$.{field}", "must be >= 0")
-    threads = document.get("threads")
-    _require(isinstance(threads, dict), "$.threads", "must be an object")
-    for name, count in threads.items():
-        _require_number(count, f"$.threads[{name!r}]")
-    folded = document.get("folded")
-    _require(isinstance(folded, list), "$.folded", "must be a list")
-    for i, line in enumerate(folded):
-        path = f"$.folded[{i}]"
-        _require(isinstance(line, str), path, "must be a string")
-        frames, _, count = line.rpartition(" ")
-        _require(
-            bool(frames) and count.isdigit() and int(count) > 0,
-            path,
-            "must be a collapsed stack: 'thread;frame;... count'",
-        )
-    _validate_phase_table(document.get("phases"), "$.phases")
-    heap = document.get("heap")
-    if heap is not None:
-        _require(isinstance(heap, dict), "$.heap", "must be an object or null")
-        for field in ("traced_kib", "peak_kib"):
-            _require_number(heap.get(field), f"$.heap.{field}")
-        top = heap.get("top")
-        _require(isinstance(top, list), "$.heap.top", "must be a list")
-        for i, site in enumerate(top):
-            path = f"$.heap.top[{i}]"
-            _require(isinstance(site, dict), path, "must be an object")
-            _require(
-                isinstance(site.get("site"), str) and site["site"],
-                f"{path}.site",
-                "must be a non-empty string",
-            )
-            for field in ("size_kib", "count"):
-                _require_number(site.get(field), f"{path}.{field}")
-    provenance = document.get("provenance")
-    _require(isinstance(provenance, dict), "$.provenance", "must be an object")
-    for field in ("python", "created_at"):
-        _require(
-            isinstance(provenance.get(field), str) and provenance[field],
-            f"$.provenance.{field}",
-            "must be a non-empty string",
-        )
-
-
-def validate_phase_breakdown(document: Any, path: str = "$") -> None:
-    """Validate a bench scoreboard's ``phase_breakdown`` section.
-
-    Required by the ``/5`` engine and ``/3`` service schemas: which
-    workload was profiled, the sampling parameters, and the
-    span-attributed self-time table.
-    """
-    breakdown = document.get("phase_breakdown")
-    _require(
-        isinstance(breakdown, dict),
-        f"{path}.phase_breakdown",
-        "must be an object",
-    )
-    prefix = f"{path}.phase_breakdown"
-    for field in ("source", "profile_id"):
-        _require(
-            isinstance(breakdown.get(field), str) and breakdown[field],
-            f"{prefix}.{field}",
-            "must be a non-empty string",
-        )
-    hz = breakdown.get("hz")
-    _require(
-        isinstance(hz, int) and not isinstance(hz, bool) and hz >= 1,
-        f"{prefix}.hz",
-        "must be a positive integer",
-    )
-    _require_number(breakdown.get("duration_s"), f"{prefix}.duration_s")
-    _validate_phase_table(breakdown.get("phases"), f"{prefix}.phases")
+    _PROFILE(document, "$")
 
 
 def validate_bench_engine(document: Any) -> None:
@@ -394,97 +637,7 @@ def validate_bench_engine(document: Any) -> None:
     calls in phase 2 *and* zero ``Cache``-stepping extractions in
     phase 1 (CI fails otherwise; see docs/ENGINE.md).
     """
-    _require(isinstance(document, dict), "$", "bench must be a JSON object")
-    _require(
-        document.get("schema") == BENCH_ENGINE_SCHEMA,
-        "$.schema",
-        f"must be {BENCH_ENGINE_SCHEMA!r}",
-    )
-    benchmarks = document.get("benchmarks")
-    _require(isinstance(benchmarks, dict), "$.benchmarks", "must be an object")
-    for required in (
-        "phase1_extract_60k_s",
-        "phase1_reuse_s",
-        "phase1_derive_marginal_s",
-        "phase2_replay_point_s",
-        "step_simulator_point_s",
-        "figure1_quick_s",
-        "all_quick_s",
-    ):
-        _require(required in benchmarks, f"$.benchmarks.{required}", "is required")
-    for key, value in benchmarks.items():
-        _require_number(value, f"$.benchmarks[{key!r}]")
-        _require(value >= 0, f"$.benchmarks[{key!r}]", "must be >= 0")
-    _require_number(
-        document.get("speedup_replay_vs_step"), "$.speedup_replay_vs_step"
-    )
-    dispatch = document.get("dispatch")
-    _require(isinstance(dispatch, dict), "$.dispatch", "must be an object")
-    for field in ("replay_calls", "step_calls"):
-        _require_number(dispatch.get(field), f"$.dispatch.{field}")
-    _require(
-        dispatch["replay_calls"] > 0,
-        "$.dispatch.replay_calls",
-        "must be positive (the replay engine ran)",
-    )
-    _require(
-        dispatch["step_calls"] == 0,
-        "$.dispatch.step_calls",
-        "must be 0: a registry experiment fell back to the step simulator "
-        "(reasons in $.dispatch.step_fallback_reasons)",
-    )
-    reasons = dispatch.get("step_fallback_reasons")
-    _require(
-        isinstance(reasons, dict),
-        "$.dispatch.step_fallback_reasons",
-        "must be an object",
-    )
-    for key, value in reasons.items():
-        _require_number(value, f"$.dispatch.step_fallback_reasons[{key!r}]")
-    phase1 = dispatch.get("phase1")
-    _require(
-        isinstance(phase1, dict), "$.dispatch.phase1", "must be an object"
-    )
-    for field in ("reuse_calls", "step_calls"):
-        _require_number(phase1.get(field), f"$.dispatch.phase1.{field}")
-    _require(
-        phase1["reuse_calls"] > 0,
-        "$.dispatch.phase1.reuse_calls",
-        "must be positive (the reuse engine ran)",
-    )
-    _require(
-        phase1["step_calls"] == 0,
-        "$.dispatch.phase1.step_calls",
-        "must be 0: the registry sweep is LRU-only, yet a phase-1 "
-        "extraction stepped Cache (reasons in "
-        "$.dispatch.phase1.step_reasons)",
-    )
-    step_reasons = phase1.get("step_reasons")
-    _require(
-        isinstance(step_reasons, dict),
-        "$.dispatch.phase1.step_reasons",
-        "must be an object",
-    )
-    for key, value in step_reasons.items():
-        _require_number(value, f"$.dispatch.phase1.step_reasons[{key!r}]")
-    _validate_snapshot_body(document.get("metrics"), "$.metrics")
-    validate_phase_breakdown(document)
-    overhead = document.get("profiler_overhead")
-    _require(
-        isinstance(overhead, dict), "$.profiler_overhead", "must be an object"
-    )
-    for field in ("off_s", "on_s", "ratio"):
-        _require_number(overhead.get(field), f"$.profiler_overhead.{field}")
-        _require(
-            overhead[field] > 0, f"$.profiler_overhead.{field}", "must be > 0"
-        )
-    hz = overhead.get("hz")
-    _require(
-        isinstance(hz, int) and not isinstance(hz, bool) and hz >= 1,
-        "$.profiler_overhead.hz",
-        "must be a positive integer",
-    )
-    validate_bench_provenance(document)
+    _BENCH_ENGINE(document, "$")
 
 
 def validate_service_response(document: Any) -> None:
@@ -495,66 +648,7 @@ def validate_service_response(document: Any) -> None:
     can validate captured payloads without knowing which endpoint (or
     which failure) produced them.
     """
-    _require(isinstance(document, dict), "$", "payload must be a JSON object")
-    schema = document.get("schema")
-    if schema == SERVICE_ERROR_SCHEMA:
-        error = document.get("error")
-        _require(isinstance(error, dict), "$.error", "must be an object")
-        _require(
-            isinstance(error.get("code"), str) and error["code"],
-            "$.error.code",
-            "must be a non-empty string",
-        )
-        _require(
-            isinstance(error.get("message"), str),
-            "$.error.message",
-            "must be a string",
-        )
-        status = error.get("status")
-        _require(
-            isinstance(status, int) and 400 <= status <= 599,
-            "$.error.status",
-            "must be an HTTP 4xx/5xx integer",
-        )
-        return
-    if schema == SERVICE_STATS_SCHEMA:
-        _validate_snapshot_body(document, "$")
-        queue = document.get("queue")
-        _require(isinstance(queue, dict), "$.queue", "must be an object")
-        for field in ("depth", "limit"):
-            _require_number(queue.get(field), f"$.queue.{field}")
-        cache = document.get("result_cache")
-        _require(isinstance(cache, dict), "$.result_cache", "must be an object")
-        for field in ("entries", "bytes", "capacity_bytes", "hits", "misses"):
-            _require_number(cache.get(field), f"$.result_cache.{field}")
-        latency = document.get("latency")
-        _require(isinstance(latency, dict), "$.latency", "must be an object")
-        for endpoint, entry in latency.items():
-            path = f"$.latency[{endpoint!r}]"
-            _require(isinstance(entry, dict), path, "must be an object")
-            for field in ("count", "p50_ms", "p99_ms"):
-                _require_number(entry.get(field), f"{path}.{field}")
-        return
-    _require(
-        schema == SERVICE_RESPONSE_SCHEMA,
-        "$.schema",
-        f"must be {SERVICE_RESPONSE_SCHEMA!r}, {SERVICE_ERROR_SCHEMA!r} "
-        f"or {SERVICE_STATS_SCHEMA!r}",
-    )
-    _require(
-        isinstance(document.get("endpoint"), str),
-        "$.endpoint",
-        "must be a string",
-    )
-    _require(
-        isinstance(document.get("result"), (dict, list)),
-        "$.result",
-        "must be an object or list",
-    )
-    if "cached" in document:
-        _require(
-            isinstance(document["cached"], bool), "$.cached", "must be a bool"
-        )
+    _SERVICE_RESPONSE(document, "$")
 
 
 def validate_bench_service(document: Any) -> None:
@@ -571,349 +665,25 @@ def validate_bench_service(document: Any) -> None:
     * a batch-coalescing ratio above 1 at 16 concurrent clients;
     * zero request errors at every concurrency level.
     """
-    _require(isinstance(document, dict), "$", "bench must be a JSON object")
-    _require(
-        document.get("schema") == BENCH_SERVICE_SCHEMA,
-        "$.schema",
-        f"must be {BENCH_SERVICE_SCHEMA!r}",
-    )
-    server = document.get("server")
-    _require(isinstance(server, dict), "$.server", "must be an object")
-    workload = document.get("workload")
-    _require(isinstance(workload, dict), "$.workload", "must be an object")
-    _require_number(
-        workload.get("requests_per_client"), "$.workload.requests_per_client"
-    )
-    levels = document.get("levels")
-    _require(isinstance(levels, dict), "$.levels", "must be an object")
-    for required in ("1", "4", "16"):
-        _require(required in levels, f"$.levels[{required!r}]", "is required")
-    for key, level in levels.items():
-        path = f"$.levels[{key!r}]"
-        _require(isinstance(level, dict), path, "must be an object")
-        _require(
-            level.get("clients") == int(key),
-            f"{path}.clients",
-            f"must equal the level key ({key})",
-        )
-        for field in ("requests", "errors", "throughput_rps", "coalescing_ratio", "cache_hit_rate"):
-            _require_number(level.get(field), f"{path}.{field}")
-        _require(level["errors"] == 0, f"{path}.errors", "must be 0")
-        _require(
-            level["throughput_rps"] > 0, f"{path}.throughput_rps", "must be > 0"
-        )
-        _require(
-            0.0 <= level["cache_hit_rate"] <= 1.0,
-            f"{path}.cache_hit_rate",
-            "must be within [0, 1]",
-        )
-        latency = level.get("latency_ms")
-        _require(isinstance(latency, dict), f"{path}.latency_ms", "must be an object")
-        for field in ("p50", "p99", "mean", "max"):
-            _require_number(latency.get(field), f"{path}.latency_ms.{field}")
-            _require(
-                latency[field] >= 0, f"{path}.latency_ms.{field}", "must be >= 0"
-            )
-        _require(
-            latency["p50"] <= latency["p99"],
-            f"{path}.latency_ms",
-            "p50 must be <= p99",
-        )
-        client = level.get("client")
-        _require(isinstance(client, dict), f"{path}.client", "must be an object")
-        _require_number(client.get("retries"), f"{path}.client.retries")
-        _require(
-            client["retries"] >= 0, f"{path}.client.retries", "must be >= 0"
-        )
-        client_latency = client.get("latency_ms")
-        _require(
-            isinstance(client_latency, dict),
-            f"{path}.client.latency_ms",
-            "must be an object",
-        )
-        for field in ("p50", "p99"):
-            _require_number(
-                client_latency.get(field), f"{path}.client.latency_ms.{field}"
-            )
-    _require(
-        levels["16"]["coalescing_ratio"] > 1.0,
-        "$.levels['16'].coalescing_ratio",
-        "must be > 1: 16 concurrent clients over shared (trace, geometry) "
-        "keys must coalesce into shared batch groups",
-    )
-    coalescing = document.get("coalescing")
-    _require(isinstance(coalescing, dict), "$.coalescing", "must be an object")
-    for field in ("distinct_keys", "phase1_extractions"):
-        _require_number(coalescing.get(field), f"$.coalescing.{field}")
-    _require(
-        coalescing["phase1_extractions"] == coalescing["distinct_keys"],
-        "$.coalescing",
-        f"phase-1 must run once per key: {coalescing['phase1_extractions']!r} "
-        f"extractions for {coalescing['distinct_keys']!r} keys",
-    )
-    warm = document.get("warm_cache")
-    _require(isinstance(warm, dict), "$.warm_cache", "must be an object")
-    for field in ("p50_ms", "p99_ms", "cold_compute_ms", "speedup"):
-        _require_number(warm.get(field), f"$.warm_cache.{field}")
-    _require(
-        warm["speedup"] > 1.0,
-        "$.warm_cache.speedup",
-        "warm-cache queries must be faster than cold compute",
-    )
-    dispatch = document.get("dispatch")
-    _require(isinstance(dispatch, dict), "$.dispatch", "must be an object")
-    for field in ("replay_calls", "step_calls"):
-        _require_number(dispatch.get(field), f"$.dispatch.{field}")
-    _require(
-        dispatch["replay_calls"] > 0,
-        "$.dispatch.replay_calls",
-        "must be positive (the replay engine served queries)",
-    )
-    _require(
-        dispatch["step_calls"] == 0,
-        "$.dispatch.step_calls",
-        "must be 0: a service query fell back to the step simulator",
-    )
-    _validate_capacity(document.get("capacity"))
-    validate_phase_breakdown(document)
-    validate_bench_provenance(document)
-
-
-def _validate_capacity(capacity: Any) -> None:
-    """Validate the ``/4`` open-loop ``capacity`` headline section."""
-    _require(isinstance(capacity, dict), "$.capacity", "must be an object")
-    slo = capacity.get("slo_p99_ms")
-    _require_number(slo, "$.capacity.slo_p99_ms")
-    _require(slo > 0, "$.capacity.slo_p99_ms", "must be > 0")
-    for section in ("single", "fleet"):
-        path = f"$.capacity.{section}"
-        entry = capacity.get(section)
-        _require(isinstance(entry, dict), path, "must be an object")
-        workers = entry.get("workers")
-        _require(
-            isinstance(workers, int) and not isinstance(workers, bool)
-            and workers >= 1,
-            f"{path}.workers",
-            "must be a positive integer",
-        )
-        _require_number(
-            entry.get("max_sustained_rps"), f"{path}.max_sustained_rps"
-        )
-        _require(
-            entry["max_sustained_rps"] >= 0,
-            f"{path}.max_sustained_rps",
-            "must be >= 0",
-        )
-        curve = entry.get("curve")
-        _require(
-            isinstance(curve, list) and curve,
-            f"{path}.curve",
-            "must be a non-empty list of load rungs",
-        )
-        for i, rung in enumerate(curve):
-            rung_path = f"{path}.curve[{i}]"
-            _require(isinstance(rung, dict), rung_path, "must be an object")
-            for field in (
-                "offered_rps",
-                "achieved_rps",
-                "p50_ms",
-                "p99_ms",
-                "shed",
-                "errors",
-            ):
-                _require_number(rung.get(field), f"{rung_path}.{field}")
-                _require(
-                    rung[field] >= 0, f"{rung_path}.{field}", "must be >= 0"
-                )
-            _require(
-                rung["offered_rps"] > 0,
-                f"{rung_path}.offered_rps",
-                "must be > 0",
-            )
-            _require(
-                rung["p50_ms"] <= rung["p99_ms"],
-                rung_path,
-                "p50_ms must be <= p99_ms",
-            )
-    _require(
-        capacity["fleet"]["workers"] > 1,
-        "$.capacity.fleet.workers",
-        "must be > 1 (otherwise it is not a fleet)",
-    )
+    _BENCH_SERVICE(document, "$")
 
 
 def validate_sweep_stream(records: Any) -> None:
-    """Validate a parsed ``/v1/sweep`` JSONL stream (a list of records).
-
-    The framing contract (see ``docs/SERVICE.md``): a header line
-    carrying the ``repro.service.sweep/1`` tag and the total point
-    count, one line per grid point (``result`` on success, ``error``
-    otherwise), and a final summary line with ``done: true`` and the
-    error count.  Point lines may arrive in any order — the fleet
-    router interleaves shards as they complete — but every index in
-    ``[0, points)`` must appear exactly once.
-    """
-    _require(
-        isinstance(records, list) and len(records) >= 2,
-        "$",
-        "stream must be a list with at least header and summary lines",
-    )
-    header = records[0]
-    _require(isinstance(header, dict), "$[0]", "header must be an object")
-    _require(
-        header.get("schema") == SERVICE_SWEEP_SCHEMA,
-        "$[0].schema",
-        f"must be {SERVICE_SWEEP_SCHEMA!r}",
-    )
-    points = header.get("points")
-    _require(
-        isinstance(points, int) and not isinstance(points, bool) and points >= 0,
-        "$[0].points",
-        "must be a non-negative integer",
-    )
-    summary = records[-1]
-    _require(isinstance(summary, dict), "$[-1]", "summary must be an object")
-    _require(summary.get("done") is True, "$[-1].done", "must be true")
-    _require_number(summary.get("errors"), "$[-1].errors")
-    _require(
-        summary.get("points") == points,
-        "$[-1].points",
-        "must match the header's point count",
-    )
-    seen: set[int] = set()
-    errors = 0
-    for i, record in enumerate(records[1:-1], start=1):
-        path = f"$[{i}]"
-        _require(isinstance(record, dict), path, "must be an object")
-        index = record.get("index")
-        _require(
-            isinstance(index, int) and not isinstance(index, bool)
-            and 0 <= index < points,
-            f"{path}.index",
-            f"must be an integer within [0, {points})",
-        )
-        _require(index not in seen, f"{path}.index", "duplicate point index")
-        seen.add(index)
-        _require(
-            isinstance(record.get("point"), dict),
-            f"{path}.point",
-            "must be an object",
-        )
-        if "error" in record:
-            errors += 1
-            error = record["error"]
-            _require(isinstance(error, dict), f"{path}.error", "must be an object")
-            _require(
-                isinstance(error.get("code"), str) and error["code"],
-                f"{path}.error.code",
-                "must be a non-empty string",
-            )
-        else:
-            _require(
-                isinstance(record.get("result"), dict),
-                f"{path}.result",
-                "must be an object",
-            )
-    _require(
-        len(seen) == points,
-        "$",
-        f"stream carries {len(seen)} distinct points, header promised {points}",
-    )
-    _require(
-        summary["errors"] == errors,
-        "$[-1].errors",
-        f"summary says {summary['errors']!r}, stream carries {errors}",
-    )
+    """Validate a parsed ``/v1/sweep`` JSONL stream (a list of records)."""
+    validate_indexed_stream(records, _SWEEP_HEADER, _SWEEP_SUMMARY)
 
 
 def validate_access_log_record(document: Any) -> None:
     """Validate one line of the serving layer's JSONL access log."""
-    _require(isinstance(document, dict), "$", "record must be a JSON object")
-    _require(
-        document.get("schema") in ACCESS_LOG_SCHEMAS,
-        "$.schema",
-        f"must be one of {ACCESS_LOG_SCHEMAS!r}",
-    )
-    _require_number(document.get("ts"), "$.ts")
-    _require(
-        isinstance(document.get("request_id"), str) and document["request_id"],
-        "$.request_id",
-        "must be a non-empty string",
-    )
-    for field in ("method", "path", "endpoint"):
-        _require(
-            isinstance(document.get(field), str) and document[field],
-            f"$.{field}",
-            "must be a non-empty string",
-        )
-    status = document.get("status")
-    _require(
-        isinstance(status, int) and not isinstance(status, bool)
-        and 100 <= status <= 599,
-        "$.status",
-        "must be an HTTP status integer",
-    )
-    _require_number(document.get("latency_ms"), "$.latency_ms")
-    _require(document["latency_ms"] >= 0, "$.latency_ms", "must be >= 0")
-    if "cache" in document:
-        _require(
-            document["cache"] in ("hit", "miss"),
-            "$.cache",
-            "must be 'hit' or 'miss'",
-        )
-    if "batched" in document:
-        _require(
-            isinstance(document["batched"], bool), "$.batched", "must be a bool"
-        )
-    if "error_code" in document:
-        _require(
-            isinstance(document["error_code"], str) and document["error_code"],
-            "$.error_code",
-            "must be a non-empty string",
-        )
-    for optional in ("deadline_ms", "deadline_left_ms"):
-        if optional in document:
-            _require_number(document[optional], f"$.{optional}")
-    if "profile_id" in document:
-        _require(
-            isinstance(document["profile_id"], str) and document["profile_id"],
-            "$.profile_id",
-            "must be a non-empty string",
-        )
-    if "worker" in document:
-        _require(
-            isinstance(document["worker"], str) and document["worker"],
-            "$.worker",
-            "must be a non-empty string",
-        )
-    if "campaign" in document:
-        # Campaign-annotated requests carry the (truncated) campaign id
-        # so a grep over the access log isolates one campaign's traffic.
-        _require(
-            isinstance(document["campaign"], str) and document["campaign"],
-            "$.campaign",
-            "must be a non-empty string",
-        )
-    if "trace_id" in document:
-        _require(
-            isinstance(document["trace_id"], str)
-            and bool(_TRACE_ID_RE.match(document["trace_id"])),
-            "$.trace_id",
-            "must be 32 lowercase hex characters",
-        )
-    if "span_id" in document:
-        _require(
-            isinstance(document["span_id"], str)
-            and bool(_SPAN_ID_RE.match(document["span_id"])),
-            "$.span_id",
-            "must be 16 lowercase hex characters",
-        )
+    _ACCESS_LOG_RECORD(document, "$")
+
+
+_ACCESS_LOG = array(message="access log must be a list of records")
 
 
 def validate_access_log(lines: Any) -> None:
     """Validate a parsed access log (a list of line records)."""
-    _require(isinstance(lines, list), "$", "access log must be a list of records")
-    for i, record in enumerate(lines):
+    for i, record in enumerate(_ACCESS_LOG(lines, "$")):
         try:
             validate_access_log_record(record)
         except SchemaError as error:
@@ -922,93 +692,9 @@ def validate_access_log(lines: Any) -> None:
 
 def validate_bench_history_entry(document: Any) -> None:
     """Validate one appended ``bench_history.jsonl`` entry."""
-    _require(isinstance(document, dict), "$", "entry must be a JSON object")
-    _require(
-        document.get("schema") == BENCH_HISTORY_SCHEMA,
-        "$.schema",
-        f"must be {BENCH_HISTORY_SCHEMA!r}",
-    )
-    _require(
-        isinstance(document.get("recorded_at"), str) and document["recorded_at"],
-        "$.recorded_at",
-        "must be a non-empty string",
-    )
-    git_sha = document.get("git_sha")
-    _require(
-        git_sha is None or isinstance(git_sha, str),
-        "$.git_sha",
-        "must be a string or null",
-    )
-    metrics = document.get("metrics")
-    _require(isinstance(metrics, dict), "$.metrics", "must be an object")
-    _require(len(metrics) > 0, "$.metrics", "must not be empty")
-    for key, value in metrics.items():
-        _require_number(value, f"$.metrics[{key!r}]")
-        _require(value >= 0, f"$.metrics[{key!r}]", "must be >= 0")
-    sources = document.get("sources")
-    _require(isinstance(sources, dict), "$.sources", "must be an object")
-    phases = document.get("phases")
-    if phases is not None:
-        _require(
-            isinstance(phases, dict), "$.phases", "must be an object or absent"
-        )
-        for key, value in phases.items():
-            _require_number(value, f"$.phases[{key!r}]")
-            _require(value >= 0, f"$.phases[{key!r}]", "must be >= 0")
+    _BENCH_HISTORY_ENTRY(document, "$")
 
 
 def validate_manifest(document: Any) -> None:
     """Validate a run manifest (``<id>.meta.json``)."""
-    _require(isinstance(document, dict), "$", "manifest must be a JSON object")
-    _require(
-        document.get("schema") == MANIFEST_SCHEMA,
-        "$.schema",
-        f"must be {MANIFEST_SCHEMA!r}",
-    )
-    _require(
-        isinstance(document.get("experiment"), str),
-        "$.experiment",
-        "must be a string",
-    )
-    config = document.get("config")
-    _require(isinstance(config, dict), "$.config", "must be an object")
-    _require(
-        isinstance(config.get("quick"), bool), "$.config.quick", "must be a bool"
-    )
-    engine = document.get("engine")
-    _require(isinstance(engine, dict), "$.engine", "must be an object")
-    _require(
-        engine.get("path") in ("replay", "step", "mixed", "analytic"),
-        "$.engine.path",
-        "must be one of replay/step/mixed/analytic",
-    )
-    eq2 = document.get("eq2")
-    _require(isinstance(eq2, dict), "$.eq2", "must be an object")
-    terms = (
-        "execute_cycles",
-        "read_stall_cycles",
-        "flush_stall_cycles",
-        "write_buffer_stall_cycles",
-    )
-    for term in (*terms, "total_cycles"):
-        _require(term in eq2, f"$.eq2.{term}", "is required")
-        _require_number(eq2[term], f"$.eq2.{term}")
-    total = sum(eq2[term] for term in terms)
-    _require(
-        total == eq2["total_cycles"],
-        "$.eq2",
-        f"terms sum to {total!r}, total_cycles says {eq2['total_cycles']!r}",
-    )
-    _require(
-        isinstance(document.get("outputs"), list), "$.outputs", "must be a list"
-    )
-    _validate_snapshot_body(document.get("metrics"), "$.metrics")
-    _require_number(document.get("wall_time_s"), "$.wall_time_s")
-    provenance = document.get("provenance")
-    _require(isinstance(provenance, dict), "$.provenance", "must be an object")
-    for field in ("python", "created_at"):
-        _require(
-            isinstance(provenance.get(field), str),
-            f"$.provenance.{field}",
-            "must be a string",
-        )
+    _MANIFEST(document, "$")

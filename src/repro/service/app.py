@@ -67,9 +67,6 @@ from repro.service.result_cache import (
 )
 from repro.util.jsonout import dump_json, dump_json_line
 
-#: Fallback deadline for requests that do not send ``deadline_ms``.
-DEFAULT_DEADLINE_S = 30.0
-
 #: Per-endpoint latency samples retained for the stats percentiles.
 LATENCY_WINDOW = 2048
 
@@ -99,11 +96,6 @@ _GET_ENDPOINTS = frozenset(
         "campaign-results",
     }
 )
-
-#: Longest profiling window ``/v1/debug/profile`` accepts.  Kept well
-#: under the drain grace period so an in-flight window never pins a
-#: terminating server.
-DEFAULT_PROFILE_MAX_SECONDS = 10.0
 
 #: Operational endpoints served outside the ``/v1/`` namespace, where
 #: load balancers and scrapers conventionally look for them.
@@ -153,12 +145,12 @@ class ServiceApp:
         registry: MetricsRegistry,
         batcher: MicroBatcher,
         result_cache: ResultCache,
-        default_deadline_s: float = DEFAULT_DEADLINE_S,
+        default_deadline_s: float,
+        profile_max_seconds: float,
         window: RollingWindow | None = None,
         access_log: AccessLog | None = None,
         tracer: tracing.Tracer | None = None,
         is_ready: Callable[[], bool] | None = None,
-        profile_max_seconds: float = DEFAULT_PROFILE_MAX_SECONDS,
         disk_cache: DiskResultCache | None = None,
         shed_watermark: int | None = None,
         span_spool: Any = None,
@@ -433,7 +425,7 @@ class ServiceApp:
             return {}
         try:
             payload = json.loads(body)
-        except json.JSONDecodeError as error:
+        except ValueError as error:  # bad JSON, bad UTF-8, too many digits
             raise HttpError(
                 400, "invalid_json", f"request body is not JSON: {error}"
             ) from None

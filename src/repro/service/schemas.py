@@ -1,11 +1,11 @@
-"""Hand-rolled request schemas for the tradeoff-query service.
+"""Request schemas for the tradeoff-query service.
 
-Extends the :mod:`repro.obs.schemas` approach (offline environment, no
-``jsonschema``) to *inbound* payloads: every endpoint's parameters are
-structurally validated — types, ranges, enum membership, unknown-key
-rejection — before any domain object is built, so a malformed request
-costs a 400 with a JSON-path-style message, never a stack trace from
-deep inside the engine.
+Every endpoint's parameters are declared as :mod:`repro.util.schema`
+tables and checked before any domain object is built: types, ranges,
+enum membership, unknown-key rejection, then the cross-field invariants
+(a line is a whole number of bus transfers, geometries are powers of
+two).  A malformed request costs a 400 with a JSON-path-style message,
+never a stack trace from deep inside the engine.
 
 Limits guard the simulation-backed path: ``instructions`` and matmul
 ``n`` are capped so a single request cannot monopolise the batch worker
@@ -17,8 +17,19 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.stalling import StallPolicy
-from repro.obs.schemas import SchemaError, require, require_number
 from repro.trace.spec92 import SPEC92_PROFILES
+from repro.util.schema import (
+    SchemaError,
+    array,
+    boolean,
+    choice,
+    const,
+    integer,
+    nullable,
+    number,
+    obj,
+    union,
+)
 
 __all__ = [
     "SchemaError",
@@ -50,406 +61,244 @@ MAX_SWEEP_POINTS = 1_000_000
 #: The analytic feature names accepted by ``/v1/tradeoff``.
 FEATURES = ("doubling-bus", "write-buffers", "pipelined-memory", "partial-stalling")
 
-_POLICIES = tuple(policy.value for policy in StallPolicy)
+POLICY = choice(policy.value for policy in StallPolicy)
+
+# -- cross-field invariants ------------------------------------------------
 
 
-def _object(params: Any, path: str) -> dict[str, Any]:
-    require(isinstance(params, dict), path, "must be a JSON object")
-    return params
+def _powers_of_two(cache: dict[str, Any], path: str) -> None:
+    for name in ("total_bytes", "line_size"):
+        if cache[name] & (cache[name] - 1):
+            raise SchemaError(f"{path}.{name}: must be a power of two")
 
 
-def _reject_unknown(params: dict[str, Any], allowed: set[str], path: str) -> None:
-    unknown = sorted(set(params) - allowed)
-    require(not unknown, path, f"unknown parameter(s) {unknown}")
+def _line_covers_bus(cache: dict[str, Any], bus_width: int, path: str) -> None:
+    """A line is a whole number of bus transfers (L/D)."""
+    if cache["line_size"] % bus_width:
+        raise SchemaError(
+            f"{path}.line_size: must be a multiple of bus_width ({bus_width})"
+        )
 
 
-def _number(
-    params: dict[str, Any],
-    name: str,
-    path: str,
-    default: float | None = None,
-    minimum: float | None = None,
-    maximum: float | None = None,
-    required: bool = False,
-) -> float | None:
-    if name not in params:
-        require(not required, f"{path}.{name}", "is required")
-        return default
-    value = params[name]
-    require_number(value, f"{path}.{name}")
-    if minimum is not None:
-        require(value >= minimum, f"{path}.{name}", f"must be >= {minimum}")
-    if maximum is not None:
-        require(value <= maximum, f"{path}.{name}", f"must be <= {maximum}")
-    return float(value)
+def _cache_covers_bus(out: dict[str, Any], path: str) -> None:
+    _line_covers_bus(out["cache"], out["bus_width"], f"{path}.cache")
 
 
-def _integer(
-    params: dict[str, Any],
-    name: str,
-    path: str,
-    default: int | None = None,
-    minimum: int | None = None,
-    maximum: int | None = None,
-    required: bool = False,
-) -> int | None:
-    if name not in params:
-        require(not required, f"{path}.{name}", "is required")
-        return default
-    value = params[name]
-    require(
-        isinstance(value, int) and not isinstance(value, bool),
-        f"{path}.{name}",
-        f"expected an integer, got {type(value).__name__}",
-    )
-    if minimum is not None:
-        require(value >= minimum, f"{path}.{name}", f"must be >= {minimum}")
-    if maximum is not None:
-        require(value <= maximum, f"{path}.{name}", f"must be <= {maximum}")
-    return value
+def caches_cover_bus(out: dict[str, Any], path: str) -> None:
+    for i, cache in enumerate(out["caches"]):
+        _line_covers_bus(cache, out["bus_width"], f"{path}.caches[{i}]")
 
 
-def _choice(
-    params: dict[str, Any],
-    name: str,
-    choices: tuple[str, ...],
-    path: str,
-    default: str | None = None,
-    required: bool = False,
-) -> str | None:
-    if name not in params:
-        require(not required, f"{path}.{name}", "is required")
-        return default
-    value = params[name]
-    require(
-        isinstance(value, str) and value in choices,
-        f"{path}.{name}",
-        f"must be one of {list(choices)}",
-    )
-    return value
+def grid_limit(out: dict[str, Any], path: str) -> None:
+    """A sweep (or a campaign: one sweep per trace) stays bounded."""
+    points = 1
+    for axis in ("traces", "caches", "policies", "memory_cycles"):
+        if axis in out:
+            points *= len(out[axis])
+    if points > MAX_SWEEP_POINTS:
+        raise SchemaError(
+            f"{path}: grid expands to {points} points, more than the "
+            f"{MAX_SWEEP_POINTS}-point limit"
+        )
 
 
-def _bool(
-    params: dict[str, Any], name: str, path: str, default: bool = False
-) -> bool:
-    if name not in params:
-        return default
-    value = params[name]
-    require(isinstance(value, bool), f"{path}.{name}", "must be a bool")
-    return value
+def _partial_stalling_phi(out: dict[str, Any], path: str) -> None:
+    if out["feature"] == "partial-stalling" and out["stall_factor"] is None:
+        raise SchemaError(
+            f"{path}.stall_factor: is required for feature 'partial-stalling' "
+            "(a trace-measured phi)"
+        )
 
 
-def _geometry(params: dict[str, Any], path: str) -> dict[str, Any]:
-    """Shared ``bus_width``/``line_size``/``memory_cycle`` block."""
-    return {
-        "bus_width": _integer(params, "bus_width", path, default=4, minimum=1),
-        "line_size": _integer(params, "line_size", path, default=32, minimum=1),
-        "memory_cycle": _number(
-            params, "memory_cycle", path, default=8.0, minimum=1.0
-        ),
-        "turnaround": _number(params, "turnaround", path, default=2.0, minimum=1.0),
+_PHIS = array(number(ge=0))
+_PARALLEL = "must be a list parallel to betas (one measured phi per beta)"
+
+
+def _phis_parallel_betas(out: dict[str, Any], path: str) -> None:
+    """One measured phi per beta, checked before the phis themselves."""
+    phis = out["stall_factors"]
+    if phis is not None:
+        if len(phis) != len(out["betas"]):
+            raise SchemaError(f"{path}.stall_factors: {_PARALLEL}")
+        out["stall_factors"] = _PHIS(phis, f"{path}.stall_factors")
+
+
+# -- tables ----------------------------------------------------------------
+
+_GEOMETRY = {
+    "bus_width": (integer(ge=1), 4),
+    "line_size": (integer(ge=1), 32),
+    "memory_cycle": (number(ge=1.0), 8.0),
+    "turnaround": (number(ge=1.0), 2.0),
+}
+_FLUSH_RATIO = (number(ge=0.0, le=1.0), 0.5)
+_BASE_HIT_RATIO = number(ge=0.0, le=1.0 - 1e-9)
+_PHI = (number(ge=0.0), None)
+
+_EXECUTION_TIME = obj(
+    {
+        **_GEOMETRY,
+        "hit_ratio": number(ge=1e-9, le=1.0),
+        "flush_ratio": _FLUSH_RATIO,
+        "loadstore_fraction": (number(ge=1e-9, le=1.0 - 1e-9), 0.3),
+        "instructions": (number(ge=1.0), 1_000_000.0),
+        "policy": (POLICY, "FS"),
+        "stall_factor": _PHI,
+        "write_buffers": (boolean, False),
     }
+)
+
+_TRADEOFF = obj(
+    {
+        **_GEOMETRY,
+        "feature": choice(FEATURES),
+        "base_hit_ratio": _BASE_HIT_RATIO,
+        "flush_ratio": _FLUSH_RATIO,
+        "stall_factor": _PHI,
+    },
+    after=(_partial_stalling_phi,),
+)
+
+_RANKING = obj(
+    {
+        **{name: spec for name, spec in _GEOMETRY.items() if name != "memory_cycle"},
+        "base_hit_ratio": _BASE_HIT_RATIO,
+        "flush_ratio": _FLUSH_RATIO,
+        # A missing list reads as empty, which the length check rejects.
+        "betas": (
+            array(
+                number(ge=1),
+                min_len=1,
+                max_len=64,
+                message="must be a non-empty list of at most 64 numbers",
+            ),
+            [],
+        ),
+        "stall_factors": (nullable(array(message=_PARALLEL)), None),
+    },
+    after=(_phis_parallel_betas,),
+)
+
+_ADVISE = obj(
+    {
+        **_GEOMETRY,
+        "cache_kib": (integer(ge=1, le=1 << 16), 8),
+        "flush_ratio": _FLUSH_RATIO,
+        "stall_factor": _PHI,
+    }
+)
+
+TRACE = union(
+    "kind",
+    {
+        "spec92": obj(
+            {
+                "kind": const("spec92"),
+                "name": (choice(sorted(SPEC92_PROFILES)), "swm256"),
+                "instructions": (integer(ge=1, le=MAX_INSTRUCTIONS), 8_000),
+                "seed": (integer(ge=0), 7),
+            }
+        ),
+        "matmul": obj(
+            {
+                "kind": const("matmul"),
+                "n": integer(ge=1, le=MAX_MATMUL_N),
+                "tile": (nullable(integer(ge=1)), None),
+                "element_size": (integer(ge=1), 8),
+                "alu_per_reference": (integer(ge=0), 2),
+            }
+        ),
+    },
+)
+
+CACHE = obj(
+    {
+        "total_bytes": (integer(ge=1, le=1 << 24), 8192),
+        "line_size": (integer(ge=1), 32),
+        "associativity": (integer(ge=1), 2),
+    },
+    after=(_powers_of_two,),
+)
+
+#: The grid axes and per-point options of ``/v1/sweep``, shared with
+#: the campaign spec (:mod:`repro.campaign.spec`).
+CACHES = array(
+    CACHE,
+    min_len=1,
+    max_len=64,
+    message="must be a non-empty list of at most 64 cache specs",
+)
+POLICIES = array(
+    POLICY, min_len=1, message="must be a non-empty list of stall policies"
+)
+MEMORY_CYCLES = array(
+    number(ge=1), min_len=1, message="must be a non-empty list of numbers"
+)
+POINT_OPTIONS = {
+    "bus_width": (integer(ge=1), 4),
+    "write_buffer_depth": (integer(ge=0), None),
+    "pipelined_q": (number(ge=1.0), None),
+    "issue_rate": (number(ge=1.0), 1.0),
+    "deadline_ms": (number(ge=1.0), None),
+}
+
+_SIMULATE = obj(
+    {
+        "trace": (TRACE, {"kind": "spec92"}),
+        "cache": (CACHE, {}),
+        "policy": (POLICY, "FS"),
+        "memory_cycle": (number(ge=1.0), 8.0),
+        **POINT_OPTIONS,
+    },
+    after=(_cache_covers_bus,),
+)
+
+_SWEEP = obj(
+    {
+        "trace": (TRACE, {"kind": "spec92"}),
+        **POINT_OPTIONS,
+        "caches": (CACHES, [{}]),
+        "policies": (POLICIES, ["FS"]),
+        # A missing axis reads as empty, which the length check rejects.
+        "memory_cycles": (MEMORY_CYCLES, []),
+    },
+    after=(caches_cover_bus, grid_limit),
+)
 
 
 def validate_execution_time(params: Any) -> dict[str, Any]:
     """``/v1/execution-time``: Eq. (2) on a hit-ratio-derived workload."""
-    params = _object(params, "$.params")
-    _reject_unknown(
-        params,
-        {
-            "hit_ratio",
-            "bus_width",
-            "line_size",
-            "memory_cycle",
-            "turnaround",
-            "flush_ratio",
-            "loadstore_fraction",
-            "instructions",
-            "policy",
-            "stall_factor",
-            "write_buffers",
-        },
-        "$.params",
-    )
-    out = _geometry(params, "$.params")
-    out["hit_ratio"] = _number(
-        params, "hit_ratio", "$.params", minimum=1e-9, maximum=1.0, required=True
-    )
-    out["flush_ratio"] = _number(
-        params, "flush_ratio", "$.params", default=0.5, minimum=0.0, maximum=1.0
-    )
-    out["loadstore_fraction"] = _number(
-        params,
-        "loadstore_fraction",
-        "$.params",
-        default=0.3,
-        minimum=1e-9,
-        maximum=1.0 - 1e-9,
-    )
-    out["instructions"] = _number(
-        params, "instructions", "$.params", default=1_000_000.0, minimum=1.0
-    )
-    out["policy"] = _choice(params, "policy", _POLICIES, "$.params", default="FS")
-    out["stall_factor"] = _number(params, "stall_factor", "$.params", minimum=0.0)
-    out["write_buffers"] = _bool(params, "write_buffers", "$.params")
-    return out
+    return _EXECUTION_TIME(params, "$.params")
 
 
 def validate_tradeoff(params: Any) -> dict[str, Any]:
     """``/v1/tradeoff``: one feature's traded hit ratio (Eq. 6)."""
-    params = _object(params, "$.params")
-    _reject_unknown(
-        params,
-        {
-            "feature",
-            "base_hit_ratio",
-            "bus_width",
-            "line_size",
-            "memory_cycle",
-            "turnaround",
-            "flush_ratio",
-            "stall_factor",
-        },
-        "$.params",
-    )
-    out = _geometry(params, "$.params")
-    out["feature"] = _choice(
-        params, "feature", FEATURES, "$.params", required=True
-    )
-    out["base_hit_ratio"] = _number(
-        params,
-        "base_hit_ratio",
-        "$.params",
-        minimum=0.0,
-        maximum=1.0 - 1e-9,
-        required=True,
-    )
-    out["flush_ratio"] = _number(
-        params, "flush_ratio", "$.params", default=0.5, minimum=0.0, maximum=1.0
-    )
-    out["stall_factor"] = _number(params, "stall_factor", "$.params", minimum=0.0)
-    require(
-        out["feature"] != "partial-stalling" or out["stall_factor"] is not None,
-        "$.params.stall_factor",
-        "is required for feature 'partial-stalling' (a trace-measured phi)",
-    )
-    return out
+    return _TRADEOFF(params, "$.params")
 
 
 def validate_ranking(params: Any) -> dict[str, Any]:
     """``/v1/ranking``: the Table 3 / Figures 3-5 unified comparison."""
-    params = _object(params, "$.params")
-    _reject_unknown(
-        params,
-        {
-            "base_hit_ratio",
-            "bus_width",
-            "line_size",
-            "turnaround",
-            "flush_ratio",
-            "betas",
-            "stall_factors",
-        },
-        "$.params",
-    )
-    out = _geometry({k: v for k, v in params.items() if k != "betas"}, "$.params")
-    del out["memory_cycle"]
-    out["base_hit_ratio"] = _number(
-        params,
-        "base_hit_ratio",
-        "$.params",
-        minimum=0.0,
-        maximum=1.0 - 1e-9,
-        required=True,
-    )
-    out["flush_ratio"] = _number(
-        params, "flush_ratio", "$.params", default=0.5, minimum=0.0, maximum=1.0
-    )
-    betas = params.get("betas")
-    require(
-        isinstance(betas, list) and betas and len(betas) <= 64,
-        "$.params.betas",
-        "must be a non-empty list of at most 64 numbers",
-    )
-    for i, beta in enumerate(betas):
-        require_number(beta, f"$.params.betas[{i}]")
-        require(beta >= 1.0, f"$.params.betas[{i}]", "must be >= 1")
-    out["betas"] = [float(b) for b in betas]
-    stall_factors = params.get("stall_factors")
-    if stall_factors is not None:
-        require(
-            isinstance(stall_factors, list)
-            and len(stall_factors) == len(betas),
-            "$.params.stall_factors",
-            "must be a list parallel to betas (one measured phi per beta)",
-        )
-        for i, phi in enumerate(stall_factors):
-            require_number(phi, f"$.params.stall_factors[{i}]")
-            require(phi >= 0.0, f"$.params.stall_factors[{i}]", "must be >= 0")
-        out["stall_factors"] = [float(p) for p in stall_factors]
-    else:
-        out["stall_factors"] = None
-    return out
+    return _RANKING(params, "$.params")
 
 
 def validate_advise(params: Any) -> dict[str, Any]:
     """``/v1/advise``: the design advisor (Section 5.3 as a service)."""
-    params = _object(params, "$.params")
-    _reject_unknown(
-        params,
-        {
-            "bus_width",
-            "line_size",
-            "memory_cycle",
-            "turnaround",
-            "cache_kib",
-            "flush_ratio",
-            "stall_factor",
-        },
-        "$.params",
-    )
-    out = _geometry(params, "$.params")
-    out["cache_kib"] = _integer(
-        params, "cache_kib", "$.params", default=8, minimum=1, maximum=1 << 16
-    )
-    out["flush_ratio"] = _number(
-        params, "flush_ratio", "$.params", default=0.5, minimum=0.0, maximum=1.0
-    )
-    out["stall_factor"] = _number(params, "stall_factor", "$.params", minimum=0.0)
-    return out
+    return _ADVISE(params, "$.params")
 
 
-def validate_trace_spec(
-    spec: Any, path: str = "$.params.trace"
-) -> dict[str, Any]:
-    """One trace spec (spec92 or matmul), normalized with defaults.
-
-    Shared between the simulate/sweep request validators and the
-    campaign spec validator (:mod:`repro.campaign.spec`), which passes
-    its own ``path`` so errors point into the campaign document.
-    """
-    spec = _object(spec, path)
-    kind = _choice(spec, "kind", ("spec92", "matmul"), path, required=True)
-    if kind == "spec92":
-        _reject_unknown(spec, {"kind", "name", "instructions", "seed"}, path)
-        name = spec.get("name", "swm256")
-        require(
-            isinstance(name, str) and name in SPEC92_PROFILES,
-            f"{path}.name",
-            f"must be one of {sorted(SPEC92_PROFILES)}",
-        )
-        return {
-            "kind": "spec92",
-            "name": name,
-            "instructions": _integer(
-                spec,
-                "instructions",
-                path,
-                default=8_000,
-                minimum=1,
-                maximum=MAX_INSTRUCTIONS,
-            ),
-            "seed": _integer(spec, "seed", path, default=7, minimum=0),
-        }
-    _reject_unknown(
-        spec,
-        {"kind", "n", "tile", "element_size", "alu_per_reference"},
-        path,
-    )
-    tile = None
-    if spec.get("tile") is not None:
-        tile = _integer(spec, "tile", path, minimum=1)
-    return {
-        "kind": "matmul",
-        "n": _integer(
-            spec, "n", path, minimum=1, maximum=MAX_MATMUL_N, required=True
-        ),
-        "tile": tile,
-        "element_size": _integer(
-            spec, "element_size", path, default=8, minimum=1
-        ),
-        "alu_per_reference": _integer(
-            spec, "alu_per_reference", path, default=2, minimum=0
-        ),
-    }
+def validate_trace_spec(spec: Any, path: str = "$.params.trace") -> dict[str, Any]:
+    """One trace spec (spec92 or matmul), normalized with defaults."""
+    return TRACE(spec, path)
 
 
-def validate_cache_spec(
-    spec: Any, path: str = "$.params.cache"
-) -> dict[str, Any]:
-    """One cache-geometry spec, normalized with defaults (shared like
-    :func:`validate_trace_spec`)."""
-    spec = _object(spec, path)
-    _reject_unknown(spec, {"total_bytes", "line_size", "associativity"}, path)
-    out = {
-        "total_bytes": _integer(
-            spec,
-            "total_bytes",
-            path,
-            default=8192,
-            minimum=1,
-            maximum=1 << 24,
-        ),
-        "line_size": _integer(spec, "line_size", path, default=32, minimum=1),
-        "associativity": _integer(
-            spec, "associativity", path, default=2, minimum=1
-        ),
-    }
-    for name in ("total_bytes", "line_size"):
-        require(
-            out[name] & (out[name] - 1) == 0,
-            f"{path}.{name}",
-            "must be a power of two",
-        )
-    return out
-
-
-# Internal aliases predating the shared (path-parameterized) names.
-_validate_trace = validate_trace_spec
-_validate_cache = validate_cache_spec
+def validate_cache_spec(spec: Any, path: str = "$.params.cache") -> dict[str, Any]:
+    """One cache-geometry spec, normalized with defaults."""
+    return CACHE(spec, path)
 
 
 def validate_simulate(params: Any) -> dict[str, Any]:
     """``/v1/simulate``: an exact per-configuration ``TimingResult``."""
-    params = _object(params, "$.params")
-    _reject_unknown(
-        params,
-        {
-            "trace",
-            "cache",
-            "policy",
-            "memory_cycle",
-            "bus_width",
-            "write_buffer_depth",
-            "pipelined_q",
-            "issue_rate",
-            "deadline_ms",
-        },
-        "$.params",
-    )
-    out = {
-        "trace": _validate_trace(params.get("trace", {"kind": "spec92"})),
-        "cache": _validate_cache(params.get("cache", {})),
-        "policy": _choice(params, "policy", _POLICIES, "$.params", default="FS"),
-        "memory_cycle": _number(
-            params, "memory_cycle", "$.params", default=8.0, minimum=1.0
-        ),
-        "bus_width": _integer(params, "bus_width", "$.params", default=4, minimum=1),
-        "write_buffer_depth": _integer(
-            params, "write_buffer_depth", "$.params", minimum=0
-        ),
-        "pipelined_q": _number(params, "pipelined_q", "$.params", minimum=1.0),
-        "issue_rate": _number(
-            params, "issue_rate", "$.params", default=1.0, minimum=1.0
-        ),
-        "deadline_ms": _number(params, "deadline_ms", "$.params", minimum=1.0),
-    }
-    require(
-        out["cache"]["line_size"] % out["bus_width"] == 0,
-        "$.params.cache.line_size",
-        f"must be a multiple of bus_width ({out['bus_width']})",
-    )
-    return out
+    return _SIMULATE(params, "$.params")
 
 
 def validate_sweep(params: Any) -> dict[str, Any]:
@@ -463,82 +312,7 @@ def validate_sweep(params: Any) -> dict[str, Any]:
     what lets the fleet router shard a sweep by geometry and re-merge
     the stream (``docs/SERVICE.md``, "Fleet mode").
     """
-    params = _object(params, "$.params")
-    _reject_unknown(
-        params,
-        {
-            "trace",
-            "caches",
-            "policies",
-            "memory_cycles",
-            "bus_width",
-            "write_buffer_depth",
-            "pipelined_q",
-            "issue_rate",
-            "deadline_ms",
-        },
-        "$.params",
-    )
-    out: dict[str, Any] = {
-        "trace": _validate_trace(params.get("trace", {"kind": "spec92"})),
-        "bus_width": _integer(params, "bus_width", "$.params", default=4, minimum=1),
-        "write_buffer_depth": _integer(
-            params, "write_buffer_depth", "$.params", minimum=0
-        ),
-        "pipelined_q": _number(params, "pipelined_q", "$.params", minimum=1.0),
-        "issue_rate": _number(
-            params, "issue_rate", "$.params", default=1.0, minimum=1.0
-        ),
-        "deadline_ms": _number(params, "deadline_ms", "$.params", minimum=1.0),
-    }
-
-    caches = params.get("caches", [{}])
-    require(
-        isinstance(caches, list) and caches and len(caches) <= 64,
-        "$.params.caches",
-        "must be a non-empty list of at most 64 cache specs",
-    )
-    out["caches"] = [_validate_cache(spec) for spec in caches]
-    for i, cache in enumerate(out["caches"]):
-        require(
-            cache["line_size"] % out["bus_width"] == 0,
-            f"$.params.caches[{i}].line_size",
-            f"must be a multiple of bus_width ({out['bus_width']})",
-        )
-
-    policies = params.get("policies", ["FS"])
-    require(
-        isinstance(policies, list) and policies,
-        "$.params.policies",
-        "must be a non-empty list of stall policies",
-    )
-    for i, policy in enumerate(policies):
-        require(
-            isinstance(policy, str) and policy in _POLICIES,
-            f"$.params.policies[{i}]",
-            f"must be one of {list(_POLICIES)}",
-        )
-    out["policies"] = list(policies)
-
-    betas = params.get("memory_cycles")
-    require(
-        isinstance(betas, list) and betas,
-        "$.params.memory_cycles",
-        "must be a non-empty list of numbers",
-    )
-    for i, beta in enumerate(betas):
-        require_number(beta, f"$.params.memory_cycles[{i}]")
-        require(beta >= 1.0, f"$.params.memory_cycles[{i}]", "must be >= 1")
-    out["memory_cycles"] = [float(beta) for beta in betas]
-
-    points = len(out["caches"]) * len(out["policies"]) * len(out["memory_cycles"])
-    require(
-        points <= MAX_SWEEP_POINTS,
-        "$.params",
-        f"grid expands to {points} points, more than the "
-        f"{MAX_SWEEP_POINTS}-point limit",
-    )
-    return out
+    return _SWEEP(params, "$.params")
 
 
 def sweep_point_count(validated: dict[str, Any]) -> int:

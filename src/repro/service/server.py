@@ -65,14 +65,16 @@ class ServerConfig:
     port: int = 0  # 0 = pick a free port (tests, load generator)
     queue_limit: int = 64
     result_cache_bytes: int = 8 * 1024 * 1024
-    default_deadline_s: float = 30.0
+    default_deadline_s: float = 30.0  # for requests without deadline_ms
     access_log_path: str | None = None
     span_ring_capacity: int = 4096  # 0 disables the server-owned ring
     # Durable span collection: finished spans are appended to a JSONL
     # spool under this directory (see repro.obs.span_spool).  Off by
     # default, and never active while tracing itself is disabled.
     span_spool_dir: str | None = None
-    profile_max_seconds: float = 10.0  # /v1/debug/profile window cap
+    # Longest /v1/debug/profile window: kept well under the drain grace
+    # period so an in-flight window never pins a terminating server.
+    profile_max_seconds: float = 10.0
     # Idle keep-alive connections are closed after this many seconds
     # without a request (None = never).
     keepalive_timeout_s: float | None = 75.0
@@ -116,7 +118,6 @@ class ReproServer:
         self._active_requests = 0
         self._draining = False
         self._shutdown_requested = asyncio.Event()
-        self._drained = asyncio.Event()
 
     @property
     def port(self) -> int:
@@ -277,11 +278,6 @@ class ReproServer:
             # drained server leaves a spool the offline validator
             # accepts end to end.
             self.span_spool.close()
-        self._drained.set()
-
-    async def wait_drained(self) -> None:
-        """Block until a requested drain has completed."""
-        await self._drained.wait()
 
     # -- connections -------------------------------------------------------
 
@@ -528,7 +524,10 @@ class ServerThread:
     def begin_shutdown(self) -> None:
         """Trigger the drain from any thread without waiting for it."""
         assert self._loop is not None
-        self._loop.call_soon_threadsafe(self.server.begin_shutdown)
+        try:
+            self._loop.call_soon_threadsafe(self.server.begin_shutdown)
+        except RuntimeError:  # the loop closed: an earlier drain finished
+            pass
 
     def stop(self, timeout: float = 60.0) -> None:
         """Drain and join (idempotent)."""

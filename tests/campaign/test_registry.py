@@ -239,3 +239,25 @@ class TestBaselines:
     def test_baseline_names_are_validated(self, registry):
         with pytest.raises(SchemaError):
             registry.baseline_dir("../escape")
+
+
+class TestOfflineValidator:
+    def test_non_object_result_line_is_invalid_not_a_crash(
+        self, seeded, tmp_path, capsys
+    ):
+        from repro.obs import validate
+
+        dirs = []
+        for name in ("bad", "good"):
+            clone = tmp_path / name
+            shutil.copytree(seeded, clone)
+            dirs.append(CampaignRegistry(clone).find("reg-suite").dir)
+        bad_results = dirs[0] / "results.jsonl"
+        header, first, *rest = bad_results.read_bytes().splitlines(keepends=True)
+        bad_results.write_bytes(b"".join([header, b"[1, 2]\n", *rest]))
+        with pytest.raises(SchemaError, match=r"\$\[1\]"):
+            validate_campaign_dir(dirs[0])
+        # Through the CLI: INVALID, then the next directory is still checked.
+        argv = ["--campaign", str(dirs[0]), "--campaign", str(dirs[1])]
+        assert validate.main(argv) == 1
+        assert f"{dirs[1]}: ok" in capsys.readouterr().out

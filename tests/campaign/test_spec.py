@@ -179,3 +179,71 @@ class TestEnumeration:
         assert "write_buffer_depth" not in wire
         assert "deadline_ms" not in wire
         assert wire["memory_cycle"] == 4.0
+
+
+class TestPinnedMessages:
+    """One spec per campaign-only message template (the CLI's errors)."""
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"schema": "x"}, "$.schema: must be 'repro.campaign.spec/1'"),
+            (
+                {"exclude": None},
+                "$.exclude: must be a list of at most 256 exclusion rules",
+            ),
+            (
+                {"traces": []},
+                "$.traces: must be a non-empty list of at most 16 trace specs",
+            ),
+            ({"name": ""}, "$.name: must be a string of 1..64 characters"),
+            (
+                {"name": "a/b"},
+                "$.name: may use only letters, digits, '.', '_', '-' "
+                "(no leading '.')",
+            ),
+            (
+                {"exclude": [{}]},
+                "$.exclude[0]: must constrain at least one of "
+                "['trace_index', 'cache_index', 'policy', 'memory_cycle']",
+            ),
+            ([1], "$: spec must be a JSON object"),
+            (
+                {"exclude": [{"cache": 0}]},
+                "$.exclude[0]: unknown exclusion key(s) ['cache']",
+            ),
+            ({"sweeps": []}, "$: unknown key(s) ['sweeps']"),
+            (
+                {"exclude": [{"cache_index": 1}]},
+                "$.exclude[0].cache_index: must be <= 0",
+            ),
+            (
+                {"caches": [{}, {"line_size": 2}]},
+                "$.caches[1].line_size: must be a multiple of bus_width (4)",
+            ),
+        ],
+    )
+    def test_message(self, document, message):
+        with pytest.raises(SchemaError) as excinfo:
+            validate_spec(document)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"memory_cycles": [float("inf")]}, "$.memory_cycles[0]"),
+            ({"memory_cycles": [float("nan")]}, "$.memory_cycles[0]"),
+            ({"memory_cycles": [10**400]}, "$.memory_cycles[0]"),
+            ({"pipelined_q": float("inf")}, "$.pipelined_q"),
+            (
+                {"exclude": [{"memory_cycle": float("nan")}]},
+                "$.exclude[0].memory_cycle",
+            ),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, document, message):
+        # A content address over non-JSON bytes ("Infinity") would name a
+        # spec.json that strict JSON readers reject.
+        with pytest.raises(SchemaError) as excinfo:
+            validate_spec(document)
+        assert str(excinfo.value) == f"{message}: must be a finite number"

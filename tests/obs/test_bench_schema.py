@@ -187,3 +187,14 @@ class TestValidateCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(bad_document))
         assert validate.main(["--bench", str(bad)]) == 1
+
+    def test_unreadable_level_key_is_invalid_not_a_crash(self, tmp_path, capsys):
+        document = json.loads((REPO_ROOT / "BENCH_service.json").read_text())
+        document["levels"]["many"] = document["levels"]["1"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        good = REPO_ROOT / "BENCH_service.json"
+        # The bad file fails; the file after it is still checked.
+        argv = ["--bench-service", str(bad), "--bench-service", str(good)]
+        assert validate.main(argv) == 1
+        assert f"{good}: ok" in capsys.readouterr().out

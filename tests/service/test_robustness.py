@@ -169,6 +169,15 @@ class TestDrainOnShutdown:
         with pytest.raises(OSError):
             socket.create_connection(("127.0.0.1", handle.server.port), timeout=1.0)
 
+    def test_stop_after_a_finished_drain_is_a_no_op(self):
+        # The race behind an intermittent failure of the test below: its
+        # cleanup stop() can run after the drain it began has closed the
+        # server's event loop.
+        handle = start_server()
+        handle.begin_shutdown()
+        handle._thread.join(timeout=60.0)
+        handle.stop()
+
     def test_readyz_flips_during_drain_while_in_flight_completes(self):
         """During the SIGTERM drain window the server is alive but not
         ready: ``/readyz`` answers 503 (``draining``), ``/healthz`` stays
@@ -272,6 +281,48 @@ class TestMalformedInput:
         assert status == 400
         assert envelope["error"]["code"] == "schema_error"
         assert "$.params.trace.name" in envelope["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "path, body, code, message",
+        [
+            (
+                "/v1/execution-time",
+                b'{"params": {"hit_ratio": 0.9, "instructions": Infinity}}',
+                "schema_error",
+                "$.params.instructions: must be a finite number",
+            ),
+            (
+                "/v1/simulate",
+                b'{"params": {"memory_cycle": Infinity}}',
+                "schema_error",
+                "$.params.memory_cycle: must be a finite number",
+            ),
+            (
+                "/v1/simulate",
+                b'{"params": {"memory_cycle": NaN}}',
+                "schema_error",
+                "$.params.memory_cycle: must be a finite number",
+            ),
+            (
+                "/v1/simulate",
+                b'{"params": {"memory_cycle": 1' + b"0" * 400 + b"}}",
+                "schema_error",
+                "$.params.memory_cycle: must be a finite number",
+            ),
+            (
+                "/v1/simulate",
+                b'{"params": {"bus_width": ' + b"9" * 5001 + b"}}",
+                "invalid_json",
+                "request body is not JSON: ",
+            ),
+        ],
+        ids=["infinity-200", "infinity-500", "nan", "401-digits", "5001-digits"],
+    )
+    def test_unrepresentable_numbers_are_a_400(self, server, path, body, code, message):
+        status, envelope = raw_request(server.port, body, path=path)
+        assert status == 400
+        assert envelope["error"]["code"] == code
+        assert envelope["error"]["message"].startswith(message)
 
     def test_unphysical_params_rejected_not_crashing(self, server):
         # Structurally valid but domain-invalid: pipelined turnaround

@@ -9,6 +9,7 @@ from repro.service.schemas import (
     validate_execution_time,
     validate_ranking,
     validate_simulate,
+    validate_sweep,
     validate_tradeoff,
 )
 
@@ -142,3 +143,122 @@ class TestSimulate:
             validate_simulate({"trace": {"kind": "spec92", "nam": "swm256"}})
         with pytest.raises(SchemaError, match="unknown"):
             validate_simulate({"cache": {"bytes": 8192}})
+
+
+class TestPinnedMessages:
+    """One request per message template: the 400 bodies are an API."""
+
+    @pytest.mark.parametrize(
+        "validate, params, message",
+        [
+            (
+                validate_simulate,
+                {"memory_cycle": "x"},
+                "$.params.memory_cycle: expected a number, got str",
+            ),
+            (
+                validate_simulate,
+                {"bus_width": 4.0},
+                "$.params.bus_width: expected an integer, got float",
+            ),
+            (validate_simulate, {"trace": {}}, "$.params.trace.kind: is required"),
+            (
+                validate_tradeoff,
+                {"feature": "partial-stalling", "base_hit_ratio": 0.9},
+                "$.params.stall_factor: is required for feature "
+                "'partial-stalling' (a trace-measured phi)",
+            ),
+            (
+                validate_advise,
+                {"cache_kib": 65537},
+                "$.params.cache_kib: must be <= 65536",
+            ),
+            (
+                validate_simulate,
+                {"memory_cycle": 0.5},
+                "$.params.memory_cycle: must be >= 1.0",
+            ),
+            (
+                validate_simulate,
+                {"trace": None},
+                "$.params.trace: must be a JSON object",
+            ),
+            (
+                validate_execution_time,
+                {"hit_ratio": 0.9, "write_buffers": 1},
+                "$.params.write_buffers: must be a bool",
+            ),
+            (
+                validate_ranking,
+                {"base_hit_ratio": 0.9, "betas": [2.0], "stall_factors": [0.1, 0.2]},
+                "$.params.stall_factors: must be a list parallel to betas "
+                "(one measured phi per beta)",
+            ),
+            (
+                validate_simulate,
+                {"bus_width": 3},
+                "$.params.cache.line_size: must be a multiple of bus_width (3)",
+            ),
+            (
+                validate_sweep,
+                {"caches": [], "memory_cycles": [4]},
+                "$.params.caches: must be a non-empty list of at most 64 cache "
+                "specs",
+            ),
+            (
+                validate_ranking,
+                {"base_hit_ratio": 0.9},
+                "$.params.betas: must be a non-empty list of at most 64 numbers",
+            ),
+            (
+                validate_sweep,
+                {},
+                "$.params.memory_cycles: must be a non-empty list of numbers",
+            ),
+            (
+                validate_sweep,
+                {"policies": [], "memory_cycles": [4]},
+                "$.params.policies: must be a non-empty list of stall policies",
+            ),
+            (
+                validate_simulate,
+                {"cache": {"total_bytes": 3000}},
+                "$.params.cache.total_bytes: must be a power of two",
+            ),
+            (
+                validate_simulate,
+                {"policy": "XX"},
+                "$.params.policy: must be one of "
+                "['FS', 'BL', 'BNL1', 'BNL2', 'BNL3', 'NB']",
+            ),
+            (
+                validate_simulate,
+                {"warp": 9},
+                "$.params: unknown parameter(s) ['warp']",
+            ),
+            (
+                validate_simulate,
+                {"memory_cycle": float("inf")},
+                "$.params.memory_cycle: must be a finite number",
+            ),
+        ],
+    )
+    def test_message(self, validate, params, message):
+        with pytest.raises(SchemaError) as excinfo:
+            validate(params)
+        assert str(excinfo.value) == message
+
+    def test_sweep_errors_name_the_failing_cache(self):
+        with pytest.raises(SchemaError) as excinfo:
+            validate_sweep(
+                {"caches": [{}, {"total_bytes": 3000}], "memory_cycles": [4]}
+            )
+        assert str(excinfo.value) == (
+            "$.params.caches[1].total_bytes: must be a power of two"
+        )
+
+    def test_numbers_normalize_to_float(self):
+        out = validate_simulate({"memory_cycle": 8, "issue_rate": 2})
+        assert type(out["memory_cycle"]) is float
+        assert type(out["issue_rate"]) is float
+        assert type(out["bus_width"]) is int
