@@ -33,7 +33,10 @@ size            operand size in bytes (drives ``write_duration``)
 ==============  ======================================================
 
 Derived per-miss structures (the exact inputs Eq. 8 and the Table 2
-stall semantics need) are computed lazily and cached on the stream:
+stall semantics need) are computed lazily and cached on the stream.
+``windows`` holds them as numpy arrays (what the βm-grid replay kernel
+reads); ``derived`` holds plain-list copies for the per-point kernels
+plus the sparse walks:
 
 * ``miss_index`` / ``miss_offset`` / ``miss_dirty`` — per-fill arrays;
 * ``first_access_after_miss`` — instruction index of the first
@@ -134,6 +137,7 @@ class EventStream:
         #: fill/flush counts) — the timing-independent half of a
         #: :class:`~repro.cpu.processor.TimingResult`.
         self.stats = stats
+        self._windows: FillWindows | None = None
         self._derived: _Derived | None = None
 
     # -- basic shape ----------------------------------------------------
@@ -156,8 +160,16 @@ class EventStream:
     # -- derived per-miss structures ------------------------------------
 
     @property
+    def windows(self) -> "FillWindows":
+        """Per-miss window arrays (numpy), computed once on first use."""
+        if self._windows is None:
+            self._windows = FillWindows(self)
+        return self._windows
+
+    @property
     def derived(self) -> "_Derived":
-        """Per-miss window structures, computed once on first use."""
+        """Per-miss window structures as plain lists, plus the sparse
+        walks, computed once on first use."""
         if self._derived is None:
             self._derived = _Derived(self)
         return self._derived
@@ -237,50 +249,75 @@ class MshrWalk:
         return len(self.index)
 
 
-class _Derived:
-    """Replay-ready views of an :class:`EventStream` (plain lists, which
-    the per-miss replay loop indexes far faster than numpy scalars)."""
+class FillWindows:
+    """Per-miss window arrays of an :class:`EventStream` (numpy).
+
+    Each fill's *window* runs from its miss to the next miss.  These are
+    the inputs of the Table 2 stall semantics: what a bus-locked fill
+    can stall (the first access after the miss) and what the BNL
+    policies can stall (re-touches of the fill line inside the window).
+    """
 
     def __init__(self, events: EventStream) -> None:
-        self._events = events
         is_miss = events.is_miss
         miss_pos = np.flatnonzero(is_miss)
-        self._miss_pos = miss_pos
         n_miss = miss_pos.shape[0]
         k = events.n_accesses
 
-        #: instruction index / critical offset / dirty flag per fill
-        self.miss_index: list[int] = events.index[miss_pos].tolist()
-        self.miss_offset: list[int] = events.offset[miss_pos].tolist()
-        self.miss_dirty: list[bool] = events.dirty_victim[miss_pos].tolist()
+        #: instruction index / byte offset / dirty-victim flag per fill
+        self.miss_index = events.index[miss_pos]
+        self.miss_offset = events.offset[miss_pos]
+        self.miss_dirty = events.dirty_victim[miss_pos]
 
         # Instruction index of the first load/store after each miss that
         # is not itself the next miss; -1 when the window is empty.
         nxt = miss_pos + 1
         safe = np.minimum(nxt, max(k - 1, 0))
         in_window = (nxt < k) & ~is_miss[safe] if k else np.zeros(0, bool)
-        first = np.where(in_window, events.index[safe], -1)
-        self.first_access_after_miss: list[int] = first.tolist()
-        self._first_after_pos = safe[in_window] if k else np.zeros(0, np.int64)
+        #: per fill: the one access a bus-locked fill can stall, or -1
+        self.first_access_after_miss = np.where(in_window, events.index[safe], -1)
+        self.first_after_pos = safe[in_window] if k else np.zeros(0, np.int64)
 
         # CSR: per miss, the subsequent accesses that re-touch the line
         # while it could still be in flight (strictly before next miss).
+        ptr = np.zeros(n_miss + 1, dtype=np.int64)
         if n_miss:
             owner = np.cumsum(is_miss) - 1  # most recent miss per access
             fill_line = events.line[miss_pos][np.maximum(owner, 0)]
             touch = (~is_miss) & (owner >= 0) & (events.line == fill_line)
-            counts = np.bincount(owner[touch], minlength=n_miss)
-            ptr = np.zeros(n_miss + 1, dtype=np.int64)
-            np.cumsum(counts, out=ptr[1:])
-            self.touch_ptr: list[int] = ptr.tolist()
-            self.touch_index: list[int] = events.index[touch].tolist()
-            self.touch_offset: list[int] = events.offset[touch].tolist()
-            self._touch_mask = touch
+            np.cumsum(np.bincount(owner[touch], minlength=n_miss), out=ptr[1:])
         else:
-            self.touch_ptr = [0]
-            self.touch_index = []
-            self.touch_offset = []
-            self._touch_mask = np.zeros(k, dtype=bool)
+            touch = np.zeros(k, dtype=bool)
+        #: fill ``j``'s re-touches are ``touch_*[touch_ptr[j]:touch_ptr[j + 1]]``
+        self.touch_ptr = ptr
+        self.touch_index = events.index[touch]
+        self.touch_offset = events.offset[touch]
+        self.touch_mask = touch
+
+
+class _Derived:
+    """Replay-ready views of an :class:`EventStream` (plain lists, which
+    the per-miss replay loop indexes far faster than numpy scalars)."""
+
+    def __init__(self, events: EventStream) -> None:
+        self._events = events
+        # Copy the grid kernel's arrays when it built them; otherwise
+        # build them without caching, so a stream that only per-point
+        # kernels replay holds just the lists.
+        windows = events._windows or FillWindows(events)
+
+        #: instruction index / critical offset / dirty flag per fill
+        self.miss_index: list[int] = windows.miss_index.tolist()
+        self.miss_offset: list[int] = windows.miss_offset.tolist()
+        self.miss_dirty: list[bool] = windows.miss_dirty.tolist()
+        self.first_access_after_miss: list[int] = (
+            windows.first_access_after_miss.tolist()
+        )
+        self.touch_ptr: list[int] = windows.touch_ptr.tolist()
+        self.touch_index: list[int] = windows.touch_index.tolist()
+        self.touch_offset: list[int] = windows.touch_offset.tolist()
+        self._first_after_pos = windows.first_after_pos
+        self._touch_mask = windows.touch_mask
 
         self._general_walk: GeneralWalk | None = None
         self._mshr_walks: dict[int, MshrWalk] = {}

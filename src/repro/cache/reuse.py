@@ -333,6 +333,17 @@ class ReuseProfile:
         """Number of loads/stores profiled."""
         return int(self.index.shape[0])
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the reference arrays and the memoized views."""
+        holders = (self, *self._line_views.values(), *self._set_views.values())
+        return sum(
+            value.nbytes
+            for holder in holders
+            for value in vars(holder).values()
+            if isinstance(value, np.ndarray)
+        )
+
     def line_view(self, line_size: int) -> _LineView:
         """Memoized per-line-size tables."""
         view = self._line_views.get(line_size)

@@ -22,7 +22,10 @@ Two knobs are specific to this store:
 * a small in-process memo keeps the most recent profiles (with their
   lazily built line/set views) alive across the many
   ``get_or_extract`` calls of one sweep, so the expensive stack-distance
-  arithmetic is shared, not just the reference arrays.
+  arithmetic is shared, not just the reference arrays.  The memo is
+  bounded by the bytes its profiles hold (:data:`_MEMO_BYTES`), except
+  for the profile being looked up: a large profile (a loop nest's)
+  stays only until another trace is looked up.
 
 Determinism note: like the events store, normal hit/miss paths record
 no metrics counters.  The one exception is the diagnostic-only
@@ -60,10 +63,12 @@ PROFILE_STORE_VERSION = 2
 #: falls back to stepping ``Cache`` for every geometry).
 REUSE_PROFILE_ENV = "REPRO_REUSE_PROFILE"
 
-#: In-process memo bound: profiles for this many distinct traces (each
-#: holds the reference arrays plus memoized set views).  Registry sweeps
-#: touch 7 traces; the bound only protects pathological callers.
-_MAX_MEMO = 8
+#: In-process memo bound: bytes held by the memoized profiles (their
+#: reference arrays plus the line/set views built since).  A registry
+#: sweep's spec92 profiles hold about 2.7 MiB each at 60k instructions;
+#: a 48x48 matmul's holds about 30 MiB, so it is kept only while its
+#: own trace is being looked up.
+_MEMO_BYTES = 24 * 2**20
 
 _memo: dict[str, ReuseProfile] = {}
 
@@ -160,6 +165,7 @@ def get_or_build(
     """
     caching = events_store.cache_enabled()
     if caching:
+        _trim_memo(keep=trace_fingerprint)
         profile = _memo.get(trace_fingerprint)
         if profile is not None:
             return profile
@@ -171,10 +177,26 @@ def get_or_build(
             profile = build_profile(trace_factory())
         save(trace_fingerprint, profile)
     if caching:
-        if len(_memo) >= _MAX_MEMO:
-            _memo.pop(next(iter(_memo)))
         _memo[trace_fingerprint] = profile
+        _trim_memo(keep=trace_fingerprint)
     return profile
+
+
+def _trim_memo(keep: str) -> None:
+    """Fit the memo into :data:`_MEMO_BYTES`, measured now (profiles
+    grow as their views are built), but keep the profile of ``keep``,
+    the trace being looked up, whatever its size: a geometry fan over a
+    large profile loads it once, and at most that one profile over the
+    budget stays resident.  The others go over-budget ones first, then
+    the oldest."""
+    sizes = {key: profile.nbytes for key, profile in list(_memo.items())}
+    total = sum(sizes.values())
+    for key in sorted(sizes, key=lambda key: sizes[key] <= _MEMO_BYTES):
+        if total <= _MEMO_BYTES:
+            break
+        if key != keep:
+            _memo.pop(key, None)
+            total -= sizes[key]
 
 
 def clear_memory() -> None:

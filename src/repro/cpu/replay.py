@@ -18,11 +18,17 @@ same order* as the step simulator.  The equivalence suite
 (``tests/cpu/test_replay_equivalence.py``) pins ``TimingResult``
 equality field by field across traces, geometries and ``beta_m``.
 
-Three kernels cover the registry:
+Four kernels cover the registry:
 
 * :func:`_replay` — the fast per-fill kernel for the common case
   (write-back + write-allocate, no write buffer, plain
   :class:`~repro.memory.MainMemory`), policies FS/BL/BNL1-3/NB;
+* :func:`replay_fs_sweep` — the same case over a whole ``beta_m`` grid
+  at once (:func:`_sweep`): everything after a miss is an offset from
+  its fill's start, so per-miss deltas for every (``beta_m``, miss)
+  pair become array arithmetic.  With integer-valued ``beta_m`` every
+  term is an integer and the results equal :func:`_replay` bit for
+  bit; any other grid is the per-point loop;
 * :func:`_replay_general` — an event-walk kernel for everything the
   single-fill-port :class:`~repro.cpu.processor.TimingSimulator` can
   express: read-bypassing write buffers (a real
@@ -33,12 +39,6 @@ Three kernels cover the registry:
 * :func:`replay_mshr` — the k-MSHR non-blocking kernel mirroring
   :class:`~repro.cpu.nonblocking.MSHRSimulator` (including the
   load-use-distance knob).
-
-:func:`replay_fs_sweep` additionally vectorizes full-stall accounting
-array-at-a-time over a ``beta_m`` grid: with FS the per-miss recurrence
-telescopes into a closed form whose terms are all integer-valued when
-``beta_m`` is, so numpy reproduces the loop bitwise; fractional grids
-fall back to the per-point kernel automatically.
 
 The only configuration still outside replay is multi-issue
 (``issue_rate > 1``), which goes through the step simulator via
@@ -549,12 +549,23 @@ def _replay_mshr(
     mshr_count: int,
     load_use_distance: float | None,
 ) -> TimingResult:
-    """The k-MSHR replay kernel (pre-validated inputs)."""
+    """The k-MSHR replay kernel (pre-validated inputs).
+
+    The oracle's fill table holds :class:`FillSchedule` objects and is
+    rebuilt at every access (``_expire``).  Here an entry is the
+    ``(start, end, critical chunk)`` its arrivals derive from, with the
+    same float operations as :meth:`MainMemory.schedule_fill`.  Fills
+    share one bus, so their ends rise in issue order: keeping the table
+    in issue order (a re-fill of a listed line moves to the back) puts
+    the earliest end first, and expiring is popping from the front,
+    needed only once time reaches that end.
+    """
     line_size = events.line_size
     bus_width = memory.bus_width
+    beta = memory.memory_cycle
+    n_chunks = line_size // bus_width
     fill_duration = memory.line_fill_duration(line_size)
     flush_duration = memory.copy_back_duration(line_size)
-    schedule_fill = memory.schedule_fill
 
     walk = events.derived.mshr_walk(mshr_count)
     w_index = walk.index
@@ -569,7 +580,8 @@ def _replay_mshr(
     read_stall = 0.0
     flush_stall = 0.0
     last_index = -1
-    fills: dict[int, FillSchedule] = {}
+    fills: dict[int, tuple[float, float, int]] = {}  # line -> start, end, critical
+    earliest = _NEVER  # end of the oldest outstanding fill
 
     for p in range(len(w_index)):
         index = w_index[p]
@@ -577,39 +589,41 @@ def _replay_mshr(
         line = w_line[p]
 
         # MSHRSimulator._expire at access issue.
-        if fills:
-            fills = {
-                ln: f for ln, f in fills.items() if f.end_time > time
-            }
+        if time >= earliest:
+            earliest = _expire_fills(fills, time)
         fill = fills.get(line)
         if fill is not None:
             # Access to an in-flight line: wait for the word.
-            arrival = fill.arrival_for_offset(w_offset[p], bus_width)
+            start, _, critical = fill
+            position = (w_offset[p] // bus_width - critical) % n_chunks
+            arrival = start + (position + 1) * beta
             if arrival > time:
                 read_stall += arrival - time
                 time = arrival
-            fills = {
-                ln: f for ln, f in fills.items() if f.end_time > time
-            }
+                if time >= earliest:
+                    earliest = _expire_fills(fills, time)
 
         if w_miss[p]:
             if len(fills) >= mshr_count:
-                freed_at = min(f.end_time for f in fills.values())
-                if freed_at > time:
-                    read_stall += freed_at - time
-                    time = freed_at
-                fills = {
-                    ln: f for ln, f in fills.items() if f.end_time > time
-                }
+                if earliest > time:
+                    read_stall += earliest - time
+                    time = earliest
+                earliest = _expire_fills(fills, time)
             start = time if time > bus_busy else bus_busy  # Bus.reserve
             bus_busy = start + fill_duration
-            schedule = schedule_fill(line, line_size, w_offset[p], start)
-            fills[line] = schedule
+            end = start + n_chunks * beta  # FillSchedule.end_time
+            # A re-fill replaces the line's entry and moves it to the
+            # back; the newest fill ends last.
+            if fills.pop(line, None) is not None and fills:
+                earliest = next(iter(fills.values()))[1]
+            fills[line] = (start, end, w_offset[p] // bus_width)
+            if len(fills) == 1:
+                earliest = end
             # Ideal NB: the missing access itself retires for free; a
             # finite load-use distance stalls the consumer d later.
             if load_use_distance is not None and w_load[p]:
                 use_time = time + load_use_distance
-                first = schedule.first_arrival
+                first = start + beta  # FillSchedule.first_arrival
                 if first > use_time:
                     read_stall += first - use_time
                     time = first - load_use_distance
@@ -638,56 +652,200 @@ def _replay_mshr(
     return result
 
 
-def replay_fs_sweep(
-    events: EventStream, betas: Sequence[float], bus_width: int
-) -> tuple[TimingResult, ...]:
-    """Vectorized full-stall accounting over a whole ``beta_m`` grid.
+#: ``earliest`` of an empty fill table: no time reaches it.
+_NEVER = float("inf")
 
-    Under FS nothing overlaps: every fill stalls the processor for the
-    full ``(L/D) * beta_m`` and the bus never delays anyone, so the
-    per-miss recurrence telescopes into a closed form.  When every
-    ``beta_m`` is integer-valued all terms are exact integers and numpy
-    multiplication reproduces the kernel's repeated addition bitwise;
-    a fractional grid falls back to the per-point kernel (whose
-    operation order is then the only bitwise-faithful one).
+
+def _expire_fills(fills: dict[int, tuple[float, float, int]], time: float) -> float:
+    """Drop the fills complete by ``time`` (``end <= time``, as
+    ``MSHRSimulator._expire``); returns the end of the oldest left."""
+    while fills:
+        end = next(iter(fills.values()))[1]
+        if end > time:
+            return end
+        del fills[next(iter(fills))]
+    return _NEVER
+
+
+#: Bound on the elements of one (βm × miss) or (βm × re-touch)
+#: temporary of the grid kernel (2**16 int64s = 512 KiB): longer grids
+#: run in blocks of βm rows, so memory does not grow with the grid.
+_GRID_BLOCK = 1 << 16
+
+
+def _integer_grid(betas: Sequence[float]) -> bool:
+    """Whether every ``beta_m`` of a grid is integer-valued — the grids
+    :func:`replay_fs_sweep` answers with its array kernel."""
+    return all(float(beta).is_integer() for beta in betas)
+
+
+def replay_fs_sweep(
+    events: EventStream,
+    betas: Sequence[float],
+    bus_width: int,
+    policy: StallPolicy = StallPolicy.FULL_STALL,
+) -> tuple[TimingResult, ...]:
+    """Phase 2 over a whole ``beta_m`` grid: one result per ``beta_m``.
+
+    Any of FS, BL, BNL1-3 or NB, on the configurations :func:`_replay`
+    covers.  An integer-valued grid runs the array kernel
+    (:func:`_sweep`), which equals :func:`_replay` bit for bit; any
+    other grid is the per-point loop, one :func:`replay` per ``beta_m``.
+    Every point is recorded (``metrics.record_timing``) in grid order.
     """
-    config = events.config
-    memory_probe = MainMemory(betas[0] if len(betas) else 1.0, bus_width)
-    if not _is_fast_path(config, memory_probe, None) or not supports_replay(
-        config, memory_probe, StallPolicy.FULL_STALL
+    memories = [MainMemory(beta, bus_width) for beta in betas]
+    probe = memories[0] if memories else MainMemory(1.0, bus_width)
+    if not _is_fast_path(events.config, probe, None) or not supports_replay(
+        events.config, probe, policy
     ):
         raise ValueError(
             f"replay_fs_sweep covers write-back/write-allocate caches on "
-            f"plain MainMemory only (config={events.config})"
-        )
-    grid = np.asarray(betas, dtype=float)
-    if not np.all(grid == np.floor(grid)):
-        return tuple(
-            _replay(events, MainMemory(beta, bus_width), StallPolicy.FULL_STALL)
-            for beta in betas
+            f"plain MainMemory only (config={events.config}, "
+            f"policy={policy.value})"
         )
     n_chunks = events.line_size // bus_width
-    fills = events.stats.line_fills
-    dirty = int(events.dirty_victim.sum())
-    n = events.n_instructions
-    fill_durations = n_chunks * grid
-    read_stalls = fills * fill_durations
-    flush_stalls = dirty * fill_durations
-    cycles = float(n - fills) + (fills + dirty) * fill_durations
+    # Every intermediate time of the loop is below 4 (n + 2) (L/D) βm;
+    # under 2**53 the loop's doubles hold those integers exactly.
+    if not memories or not _integer_grid(betas) or (
+        4 * (events.n_instructions + 2) * n_chunks * max(betas) >= 2**53
+    ):
+        return tuple(replay(events, memory, policy) for memory in memories)
+    grid = np.array(betas, dtype=np.int64)
+    with tracing.span(
+        "phase2.replay",
+        policy=policy.value,
+        betas=len(betas),
+        fills=events.n_fills,
+        kernel="sweep",
+    ):
+        cycles, read_stall, flush_stall = _sweep(events, grid, bus_width, policy)
     results = []
-    for i, beta in enumerate(betas):
+    for i, memory in enumerate(memories):
         result = TimingResult(
-            instructions=n,
+            instructions=events.n_instructions,
             cycles=float(cycles[i]),
-            read_miss_stall_cycles=float(read_stalls[i]),
-            flush_stall_cycles=float(flush_stalls[i]),
+            read_miss_stall_cycles=float(read_stall[i]),
+            flush_stall_cycles=float(flush_stall[i]),
             write_stall_cycles=0.0,
-            line_fills=fills,
-            memory_cycle=float(beta),
+            line_fills=events.stats.line_fills,
+            memory_cycle=memory.memory_cycle,
         )
         metrics.record_timing("replay", result)
         results.append(result)
     return tuple(results)
+
+
+def _sweep(
+    events: EventStream, grid: np.ndarray, bus_width: int, policy: StallPolicy
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cycles, read stall and flush stall of :func:`_replay` for every
+    integer ``beta_m`` of ``grid`` at once (int64 arrays).
+
+    In :func:`_replay` everything after miss *j* is an offset from its
+    fill's start ``s``: the bus frees at ``s + F(1 + dirty)`` (``F`` =
+    ``(L/D) beta_m``) and the window's re-touches only see ``s``-relative
+    arrivals.  Write ``u`` for the processor's time minus the index of
+    the last instruction it finished, relative to ``s`` and miss *j*.
+    The miss leaves ``u = r + dirty * F`` (``r`` = ``F``, ``beta_m`` or 0
+    under FS, the BL/BNL policies, NB), and each policy's window only
+    raises it:
+
+    * BL, BNL1: the one engaged access at gap ``g`` from the miss
+      stalls to the fill's end, ``u = max(u, F + 1 - g)``;
+    * BNL2: the first re-touch whose word arrives (``k beta_m``, ``k`` its
+      critical-word-first position) after it issues stalls to the end;
+    * BNL3, NB: each re-touch waits for its word,
+      ``u = max(u, k beta_m + 1 - g)`` over the window (a re-touch that
+      issues after the fill ended cannot raise it).
+
+    The next miss then issues at ``a = u + gap - 1`` and starts after
+    the fill port and the bus free: ``Δ = max(a, F(1 + dirty))``.  The
+    total is the first miss's index plus the ``Δ``, plus the last
+    window's ``u`` and the tail.  Every term is an integer, so int64
+    arithmetic is exact; the per-fill loop's doubles hold the same
+    integers exactly (the caller bounds them below 2**53).  Read stall
+    is what remains of the cycles once each non-missing instruction's
+    issue cycle and the copy-backs are taken out.
+    """
+    windows = events.windows
+    n = events.n_instructions
+    n_chunks = events.line_size // bus_width
+    miss_index = windows.miss_index
+    n_miss = miss_index.shape[0]
+    fill = grid * n_chunks
+    flush_stall = int(np.count_nonzero(windows.miss_dirty)) * fill
+    if not n_miss:
+        return np.full_like(grid, n), np.zeros_like(grid), flush_stall
+    dirty = windows.miss_dirty.astype(np.int64)
+    issue = miss_index[1:] - miss_index[:-1] - 1  # a - u, all but the last
+    tail = n - 1 - int(miss_index[-1]) + int(miss_index[0])
+    one_access = policy in (StallPolicy.BUS_LOCKED, StallPolicy.BUS_NOT_LOCKED_1)
+    word_waits = policy in (
+        StallPolicy.BUS_NOT_LOCKED_2,
+        StallPolicy.BUS_NOT_LOCKED_3,
+        StallPolicy.NON_BLOCKING,
+    )
+
+    # The windows' beta-independent inputs.
+    touches = 0
+    if one_access:
+        if policy is StallPolicy.BUS_LOCKED:
+            engaged = windows.first_access_after_miss
+            has = engaged >= 0
+        else:
+            ptr = windows.touch_ptr
+            has = ptr[1:] > ptr[:-1]
+            engaged = np.full(n_miss, -1, dtype=np.int64)
+            engaged[has] = windows.touch_index[ptr[:-1][has]]
+        lift = 1 - (engaged - miss_index)  # u after stalling to F, minus F
+    elif word_waits:
+        ptr = windows.touch_ptr
+        counts = ptr[1:] - ptr[:-1]
+        touched = np.flatnonzero(counts)
+        seg_start = ptr[:-1][touched]
+        owner = np.repeat(np.arange(n_miss), counts)
+        touch_gap = windows.touch_index - miss_index[owner]
+        position = (
+            windows.touch_offset // bus_width
+            - windows.miss_offset[owner] // bus_width
+        ) % n_chunks
+        word = position + 1  # the word arrives word * beta_m after start
+        touches = owner.shape[0]
+
+    rows = max(1, _GRID_BLOCK // max(n_miss, touches))
+    cycles = np.empty_like(grid)
+    for lo in range(0, grid.shape[0], rows):
+        beta = grid[lo : lo + rows, None]
+        end = fill[lo : lo + rows, None]
+        # u after the miss itself (and its copy-back, if any).
+        if policy is StallPolicy.FULL_STALL:
+            u = end + dirty * end
+        elif policy is StallPolicy.NON_BLOCKING:
+            u = dirty * end
+        else:
+            u = beta + dirty * end
+        if one_access:
+            u = np.where(has, np.maximum(u, end + lift), u)
+        elif touches and policy is StallPolicy.BUS_NOT_LOCKED_2:
+            # Skipped re-touches leave u unchanged, so every re-touch
+            # compares against the miss's own u; the first stalling one
+            # (segmented first-true) runs the processor to the end.
+            stalls = word * beta + 1 - touch_gap > u[:, owner]
+            first = np.minimum.reduceat(
+                np.where(stalls, np.arange(touches), touches), seg_start, axis=1
+            )
+            found = first < touches
+            gap = touch_gap[np.minimum(first, touches - 1)]
+            u[:, touched] = np.where(found, end + 1 - gap, u[:, touched])
+        elif touches:  # BNL3, NB
+            u[:, touched] = np.maximum(
+                u[:, touched],
+                np.maximum.reduceat(word * beta + 1 - touch_gap, seg_start, axis=1),
+            )
+        delta = np.maximum(u[:, :-1] + issue, end + dirty[:-1] * end)
+        cycles[lo : lo + rows] = delta.sum(axis=1) + u[:, -1] + tail
+    read_stall = cycles - (n - n_miss) - flush_stall
+    return cycles, read_stall, flush_stall
 
 
 def simulate(

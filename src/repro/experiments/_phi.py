@@ -3,10 +3,12 @@
 Figures 1 and 3-5 all need trace-measured stalling factors.  This module
 builds the six SPEC92 stand-in traces once per (length, seed), runs the
 two-phase engine's functional pass (phase 1) once per (trace, geometry),
-and caches measured ``phi`` maps per (policy, geometry, beta grid) so
-that running several figures in one process does not re-simulate
-identical sweeps.  Phase-1 passes can optionally fan out across a
-process pool (the runner's ``--jobs`` flag wires this up).
+times each trace's whole ``beta_m`` grid in one phase-2 call (the
+βm-grid kernel, :func:`repro.cpu.replay.replay_fs_sweep`), and caches
+measured ``phi`` per (policy, geometry, beta) point so that running
+several figures in one process does not re-simulate identical sweeps.
+Phase-1 passes can optionally fan out across a process pool (the
+runner's ``--jobs`` flag wires this up).
 
 Observability: every memoization point is wrapped with hit/miss
 counters (``phi.*_memo.{hit,miss}``), the trace build and functional
@@ -26,7 +28,7 @@ from repro.cache.cache import CacheConfig
 from repro.cache.events import EventStream
 from repro.cache import events_store, reuse_store
 from repro.core.stalling import StallPolicy
-from repro.cpu.replay import replay, supports_replay
+from repro.cpu.replay import replay_fs_sweep, supports_replay
 from repro.cpu.stall_measure import average_stall_percentages
 from repro.memory.mainmem import MainMemory
 from repro.obs import metrics, tracing
@@ -332,14 +334,21 @@ def _measure_phi_points(
     bus_width: int,
     n_instructions: int,
 ) -> list[float]:
-    """Measure phi for ``betas`` (no memo): per-beta replay averages."""
+    """Measure phi for ``betas`` (no memo): per-beta averages over the
+    six traces.
+
+    One :func:`replay_fs_sweep` per trace times the whole grid (it
+    picks the βm-grid kernel or the per-point loop from the βm values);
+    the points are then averaged beta by beta in trace order, and the φ
+    histogram observes them in that order.
+    """
     config = CacheConfig(
         total_bytes=cache_bytes, line_size=line_size, associativity=associativity
     )
     probe = MainMemory(betas[0] if betas else 1.0, bus_width)
     if supports_replay(config, probe, policy):
         # Two-phase engine: one functional pass per trace (shared with
-        # every other policy/beta on this geometry), then per-beta
+        # every other policy/beta on this geometry), then the timing
         # replays over the compact event streams.
         streams = spec92_event_streams(
             n_instructions, cache_bytes, line_size, associativity
@@ -352,13 +361,18 @@ def _measure_phi_points(
             n_betas=len(betas),
             line_size=line_size,
         ):
-            for beta in betas:
-                memory = MainMemory(beta, bus_width)
+            # Each sweep records its points (``record_timing``) trace by
+            # trace; with integer βm the Eq. 2 terms are integer-valued
+            # doubles, so the counters sum to the values a βm-by-βm
+            # loop gives.
+            sweeps = [
+                replay_fs_sweep(events, betas, bus_width, policy)
+                for events in streams.values()
+            ]
+            for results in zip(*sweeps):
                 total = 0.0
-                for events in streams.values():
-                    pct = replay(events, memory, policy).stall_percentage(
-                        bus_cycles_per_line
-                    )
+                for result in results:
+                    pct = result.stall_percentage(bus_cycles_per_line)
                     metrics.observe(
                         "phi.stall_percentage", pct, policy=policy.value
                     )

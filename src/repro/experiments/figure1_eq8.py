@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from repro.cache.cache import CacheConfig
 from repro.core.stalling import StallPolicy
-from repro.cpu.replay import replay
+from repro.cpu.replay import replay_fs_sweep
 from repro.cpu.stall_measure import stall_factor_eq8
 from repro.experiments.base import ExperimentResult
 from repro.experiments._phi import spec92_events
-from repro.memory.mainmem import MainMemory
 from repro.trace.spec92 import SPEC92_PROFILES
 
 CACHE = CacheConfig(8192, 32, 2)
@@ -38,25 +37,26 @@ def run(quick: bool = False) -> ExperimentResult:
 
     # One functional pass (phase 1) per trace; the event stream carries
     # both Eq. (8)'s inputs (distances, miss counts) and everything the
-    # per-beta timing replays need.
+    # timing replay of the whole beta grid needs.
     per_trace = {}
     for name in SPEC92_PROFILES:
         events = spec92_events(name, length, CACHE, seed=7)
-        per_trace[name] = (events, events.inter_miss_distances())
+        per_trace[name] = (
+            events,
+            events.inter_miss_distances(),
+            replay_fs_sweep(
+                events, betas, BUS_WIDTH, StallPolicy.BUS_NOT_LOCKED_1
+            ),
+        )
 
     analytic_rows, simulated_rows = [], []
-    for beta in betas:
-        memory = MainMemory(beta, BUS_WIDTH)
+    for i, beta in enumerate(betas):
         analytic = simulated = 0.0
-        for name, (events, distances) in per_trace.items():
+        for name, (events, distances, swept) in per_trace.items():
             analytic += (
                 stall_factor_eq8(distances, events.n_fills, 8, beta) / 8 * 100
             )
-            simulated += (
-                replay(events, memory, StallPolicy.BUS_NOT_LOCKED_1).stall_factor
-                / 8
-                * 100
-            )
+            simulated += swept[i].stall_factor / 8 * 100
         analytic_rows.append(analytic / len(per_trace))
         simulated_rows.append(simulated / len(per_trace))
     result.add_series("Eq. (8) analytic", analytic_rows)

@@ -31,6 +31,8 @@ Observability (see ``docs/OBSERVABILITY.md``):
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import logging
 import time
 from collections.abc import Sequence
@@ -145,6 +147,31 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     return args
 
 
+@functools.cache
+def _malloc_trim():
+    """glibc's ``int malloc_trim(size_t)``, or None where the C library
+    lacks it."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+def _release_heap() -> None:
+    """Hand freed heap back to the operating system.
+
+    glibc keeps freed small-object heap mapped, so without a trim the
+    peak RSS of ``--all`` follows whatever the allocation order of the
+    earlier experiments left behind.  A no-op elsewhere.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
 def _run_one(
     experiment_id: str,
     quick: bool,
@@ -163,13 +190,13 @@ def _run_one(
 
     Top-level so it pickles for :class:`ProcessPoolExecutor`.  Collection
     is scoped per experiment: a fresh metrics registry is installed and
-    the φ memo caches are cleared first, so the snapshot describes a cold
-    start regardless of process reuse — sequential and worker runs
-    produce identical snapshots.  ``worker`` marks a pool-process call:
-    a fresh local tracer is installed (a forked child would otherwise
-    append to its useless copy of the parent's tracer) and its events
-    are returned for the parent to adopt; in the parent, spans land on
-    the already-active tracer.
+    the φ memo caches are cleared first (and the heap they held handed
+    back), so the snapshot describes a cold start regardless of process
+    reuse — sequential and worker runs produce identical snapshots.
+    ``worker`` marks a pool-process call: a fresh local tracer is
+    installed (a forked child would otherwise append to its useless copy
+    of the parent's tracer) and its events are returned for the parent
+    to adopt; in the parent, spans land on the already-active tracer.
 
     ``profile_hz`` wraps the experiment in a :class:`SamplingProfiler`
     window (one per experiment, so with ``--jobs N`` each worker process
@@ -188,6 +215,7 @@ def _run_one(
         from repro.experiments._phi import clear_caches
 
         clear_caches()
+        _release_heap()
     profiler = None
     if profile_hz is not None:
         profiler = profile_mod.SamplingProfiler(hz=profile_hz).start()

@@ -198,6 +198,15 @@ def percentile(values: "list[float] | tuple[float, ...]", q: float) -> float:
 # -- Eq. (2) decomposition ----------------------------------------------
 
 
+def eq2_sum_matches(terms_sum: float, total: float) -> bool:
+    """Whether Eq. (2) terms summing to ``terms_sum`` reconstruct
+    ``total``: exactly, or within float rounding of sums accumulated in
+    different orders (``rel_tol=1e-12``, ``abs_tol=1e-9``)."""
+    return terms_sum == total or math.isclose(
+        terms_sum, total, rel_tol=1e-12, abs_tol=1e-9
+    )
+
+
 def eq2_breakdown(result: "TimingResult") -> dict[str, float]:
     """Decompose a timing result into the paper's Eq. (2) terms.
 
@@ -214,9 +223,7 @@ def eq2_breakdown(result: "TimingResult") -> dict[str, float]:
     write = result.write_stall_cycles
     execute = result.cycles - read - flush - write
     total = execute + read + flush + write
-    if total != result.cycles and not math.isclose(
-        total, result.cycles, rel_tol=1e-12, abs_tol=1e-9
-    ):
+    if not eq2_sum_matches(total, result.cycles):
         raise Eq2MismatchError(
             f"Eq. 2 terms sum to {total!r}, simulator reported "
             f"{result.cycles!r} cycles (execute={execute!r}, read={read!r}, "

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.obs.manifest import MANIFEST_SCHEMA
-from repro.obs.metrics import SNAPSHOT_SCHEMA
+from repro.obs.metrics import SNAPSHOT_SCHEMA, eq2_sum_matches
 from repro.obs.profile import PROFILE_SCHEMA
 from repro.util.schema import (
     OMIT,
@@ -499,9 +499,11 @@ _EQ2_TERMS = (
 
 
 def _eq2_terms_sum(eq2: dict[str, Any], path: str) -> None:
+    # The terms and the total are separate counters accumulated over
+    # many results, so their sums may round differently.
     total = sum(eq2[term] for term in _EQ2_TERMS)
     require(
-        total == eq2["total_cycles"],
+        eq2_sum_matches(total, eq2["total_cycles"]),
         path,
         f"terms sum to {total!r}, total_cycles says {eq2['total_cycles']!r}",
     )

@@ -117,10 +117,83 @@ class TestGetOrBuild:
             ),
         )
 
-    def test_memo_bound(self):
-        for i in range(reuse_store._MAX_MEMO + 2):
-            get_or_build(f"{FP}/bound/{i}", lambda: [_trace()[0]])
-        assert len(reuse_store._memo) == reuse_store._MAX_MEMO
+    def test_memo_bound(self, monkeypatch):
+        """The memo holds at most ``_MEMO_BYTES``, oldest dropped first."""
+        tiny = lambda: _trace()[:64]  # noqa: E731
+        size = get_or_build(f"{FP}/bound/probe", tiny).nbytes
+        assert size > 0
+        monkeypatch.setattr(reuse_store, "_MEMO_BYTES", 3 * size)
+        keys = [f"{FP}/bound/{i}" for i in range(5)]
+        for key in keys:
+            get_or_build(key, tiny)
+        assert list(reuse_store._memo) == keys[-3:]
+
+    def test_over_budget_profile_not_retained(self, monkeypatch):
+        """An over-budget profile stays only until another trace is
+        looked up."""
+        profile = _fresh_profile()
+        monkeypatch.setattr(reuse_store, "_MEMO_BYTES", profile.nbytes - 1)
+        built = get_or_build(FP, _trace, profile_factory=lambda: profile)
+        assert built is profile
+        hit = get_or_build(FP, lambda: pytest.fail("expected a memo hit"))
+        assert hit is profile
+        small = f"{FP}/small"
+        get_or_build(small, lambda: [_trace()[0]])
+        assert list(reuse_store._memo) == [small]
+        again = get_or_build(FP, lambda: pytest.fail("expected a disk hit"))
+        assert again is not profile
+        assert_profiles_equal(profile, again)
+
+    def test_profile_grown_over_budget_dropped_at_next_use(self, monkeypatch):
+        """Views built after a profile joined the memo count too."""
+        profile = get_or_build(FP, _trace)
+        monkeypatch.setattr(reuse_store, "_MEMO_BYTES", profile.nbytes + 1)
+        derive_events(profile, CacheConfig(8192, 32, 2))  # builds its views
+        small = f"{FP}/small"
+        get_or_build(small, lambda: [_trace()[0]])
+        assert list(reuse_store._memo) == [small]
+
+    def test_geometry_fan_builds_profile_once(self):
+        calls = []
+
+        def factory():
+            calls.append(1)
+            return _fresh_profile()
+
+        for config in (
+            CacheConfig(8192, 32, 2),
+            CacheConfig(1024, 16, 1),
+            CacheConfig(512, 64, 4),
+            CacheConfig(4096, 32, 4),
+        ):
+            events_store.get_or_extract(
+                FP, config, _trace, profile_factory=factory
+            )
+        assert len(calls) == 1
+        assert FP in reuse_store._memo
+
+    def test_geometry_fan_over_large_profile_loads_it_once(self, monkeypatch):
+        """The profile being looked up stays whatever its size."""
+        save(FP, _fresh_profile())
+        monkeypatch.setattr(reuse_store, "_MEMO_BYTES", 1)
+        loads = []
+        real_load = reuse_store.load
+
+        def counted_load(trace_fingerprint):
+            loads.append(trace_fingerprint)
+            return real_load(trace_fingerprint)
+
+        monkeypatch.setattr(reuse_store, "load", counted_load)
+        for config in (
+            CacheConfig(8192, 32, 2),
+            CacheConfig(1024, 16, 1),
+            CacheConfig(512, 64, 4),
+            CacheConfig(4096, 32, 4),
+        ):
+            events_store.get_or_extract(
+                FP, config, lambda: pytest.fail("expected a profile hit")
+            )
+        assert loads == [FP]
 
 
 class TestKeyDerivation:

@@ -8,11 +8,15 @@ on floats.
 
 Coverage: all six policies (FS/BL/BNL1/BNL2/BNL3/NB), write-buffer
 depths, pipelined memory, page-mode DRAM, write-through/write-around
-caches, the k-MSHR non-blocking kernel, all six SPEC92 stand-in traces,
-several geometries (including line == bus width and a tiny thrashing
-cache), integer and dyadic-fraction ``beta_m``, plus Hypothesis
-property tests over random traces and geometries.
+caches, the k-MSHR non-blocking kernel, the βm-grid kernel
+(``replay_fs_sweep``, pinned against the per-fill kernel), all six
+SPEC92 stand-in traces, several geometries (including line == bus
+width and a tiny thrashing cache), integer and dyadic-fraction
+``beta_m``, plus Hypothesis property tests over random traces and
+geometries.
 """
+
+import importlib
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +30,7 @@ from repro.cpu.nonblocking import MSHRSimulator
 from repro.cpu.processor import TimingSimulator
 from repro.cpu.replay import (
     REPLAY_POLICIES,
+    _replay,
     replay,
     replay_fs_sweep,
     replay_mshr,
@@ -41,6 +46,9 @@ from repro.trace.record import ALU_OP, Instruction, OpKind, load, store
 from repro.trace.spec92 import SPEC92_PROFILES, spec92_trace
 
 POLICIES = sorted(REPLAY_POLICIES, key=lambda p: p.value)
+
+# The package re-exports the ``replay`` function under the module's name.
+replay_module = importlib.import_module("repro.cpu.replay")
 
 GEOMETRIES = [
     CacheConfig(8192, 32, 2),     # the paper's Figure 1 cache
@@ -411,6 +419,29 @@ class TestMshrReplayEquivalence:
                     )
                     assert_results_equal(oracle, fast)
 
+    @pytest.mark.parametrize("mshr_count", [1, 2, 4, 8])
+    @pytest.mark.parametrize("distance", [None, 0.0, 8.0])
+    def test_fractional_beta(self, mshr_count, distance):
+        """Non-integer memory cycles, dyadic or not, stay exact."""
+        trace = spec92_trace("hydro2d", 2500, seed=7)
+        config = CacheConfig(1024, 32, 2)
+        events = extract_events(trace, config)
+        for beta in (4.001, 8.5, 12.3):
+            memory = MainMemory(beta, 4)
+            oracle = MSHRSimulator(
+                config,
+                memory,
+                mshr_count=mshr_count,
+                load_use_distance=distance,
+            ).run(trace)
+            fast = replay_mshr(
+                events,
+                memory,
+                mshr_count=mshr_count,
+                load_use_distance=distance,
+            )
+            assert_results_equal(oracle, fast)
+
     def test_rejects_invalid(self):
         events = extract_events([load(0)], CacheConfig(8192, 32, 2))
         with pytest.raises(ValueError, match="mshr_count"):
@@ -478,6 +509,62 @@ class TestFsSweep:
         events = extract_events([load(0)], config)
         with pytest.raises(ValueError, match="replay_fs_sweep"):
             replay_fs_sweep(events, (8.0,), 4)
+
+
+class TestGridSweep:
+    """The βm-grid kernel equals the per-fill kernel for every policy."""
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+    def test_spec92_figure1_grid(self, policy):
+        config = CacheConfig(8192, 32, 2)
+        betas = (1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 24.0, 32.0, 40.0, 48.0)
+        for name in SPEC92_PROFILES:
+            events = extract_events(spec92_trace(name, 3000, seed=7), config)
+            swept = replay_fs_sweep(events, betas, 4, policy)
+            for beta, result in zip(betas, swept):
+                assert result == _replay(events, MainMemory(beta, 4), policy)
+
+    def test_fractional_grid_falls_back_point_by_point(self, monkeypatch):
+        events = extract_events(
+            spec92_trace("ear", 1500, seed=7), CacheConfig(1024, 32, 2)
+        )
+        betas = (2.0, 4.5, 8.0)
+        visited = []
+
+        def per_point(events, memory, policy):
+            visited.append(memory.memory_cycle)
+            return _replay(events, memory, policy)
+
+        monkeypatch.setattr(replay_module, "replay", per_point)
+        swept = replay_fs_sweep(
+            events, betas, 4, StallPolicy.BUS_NOT_LOCKED_3
+        )
+        assert visited == list(betas)
+        assert swept == tuple(
+            _replay(events, MainMemory(beta, 4), StallPolicy.BUS_NOT_LOCKED_3)
+            for beta in betas
+        )
+
+    def test_empty_grid_and_empty_stream(self):
+        events = extract_events([ALU_OP] * 10, CacheConfig(8192, 32, 2))
+        assert replay_fs_sweep(events, (), 4) == ()
+        for policy in POLICIES:
+            (result,) = replay_fs_sweep(events, (3.0,), 4, policy)
+            assert result == _replay(events, MainMemory(3.0, 4), policy)
+            assert result.cycles == 10.0
+
+    def test_records_every_point(self):
+        from repro.obs import metrics
+
+        events = extract_events(
+            spec92_trace("nasa7", 1500, seed=7), CacheConfig(1024, 32, 2)
+        )
+        registry = metrics.enable_metrics()
+        try:
+            replay_fs_sweep(events, (2.0, 8.0, 16.0), 4, StallPolicy.BUS_LOCKED)
+        finally:
+            metrics.disable_metrics()
+        assert registry.counter("engine.replay.calls") == 3
 
 
 class TestReusePhase1Equivalence:
@@ -590,3 +677,33 @@ def test_replay_equals_oracle_property(stream, policy, beta, config):
     oracle = TimingSimulator(config, MainMemory(beta, 4), policy=policy).run(stream)
     fast = replay(extract_events(stream, config), MainMemory(beta, 4), policy)
     assert_results_equal(oracle, fast)
+
+
+@st.composite
+def integer_grids(draw):
+    """1-6 integer-valued memory cycles, always including beta_m = 1."""
+    grid = draw(st.lists(st.integers(min_value=1, max_value=60), max_size=5))
+    grid.insert(draw(st.integers(min_value=0, max_value=len(grid))), 1)
+    return [float(beta) for beta in grid]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stream=instruction_streams(),
+    policy=st.sampled_from(POLICIES),
+    betas=integer_grids(),
+    bus_width=st.sampled_from([4, 8]),
+    chunks=st.sampled_from([1, 2, 4, 8, 16]),
+    geometry=st.sampled_from([(512, 1), (1024, 2), (2048, 2)]),
+)
+def test_grid_sweep_equals_replay_property(
+    stream, policy, betas, bus_width, chunks, geometry
+):
+    """Grid == per-fill kernel over random streams, L/D 1-16, D 4 or 8."""
+    total_bytes, associativity = geometry
+    config = CacheConfig(total_bytes, bus_width * chunks, associativity)
+    events = extract_events(stream, config)
+    swept = replay_fs_sweep(events, betas, bus_width, policy)
+    assert swept == tuple(
+        _replay(events, MainMemory(beta, bus_width), policy) for beta in betas
+    )

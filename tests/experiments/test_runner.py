@@ -1,12 +1,17 @@
 """CLI runner behaviour."""
 
+import importlib
 import json
 
 import pytest
 
 from repro.cache.events_store import EVENTS_CACHE_ENV
+from repro.experiments import _phi, runner
 from repro.experiments.runner import main
 from repro.obs import schemas, stable_view
+
+# The module, which ``repro.cpu``'s ``replay`` function shadows.
+replay_module = importlib.import_module("repro.cpu.replay")
 
 
 class TestRunner:
@@ -127,6 +132,17 @@ class TestObservability:
         assert eq2["total_cycles"] > 0
         assert manifest["engine"]["path"] == "replay"
 
+    def test_run_one_releases_heap_after_clearing_memos(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(_phi, "clear_caches", lambda: calls.append("clear"))
+        monkeypatch.setattr(runner, "_release_heap", lambda: calls.append("trim"))
+        for experiment_id in ("table2", "example1"):
+            runner._run_one(experiment_id, quick=True, with_metrics=True)
+        assert calls == ["clear", "trim"] * 2
+
+    def test_release_heap_is_safe_to_call(self):
+        runner._release_heap()
+
     def test_quiet_by_default_verbose_opt_in(self, capsys, caplog):
         """-v surfaces runner diagnostics; default stays warnings-only."""
         import logging
@@ -220,3 +236,36 @@ class TestReuseProfileFlag:
         }
         assert dispatches
         assert all("engine=reuse" in key for key in dispatches)
+
+
+class TestPhiGridPath:
+    """The φ sweeps' βm-grid kernel changes no output byte."""
+
+    def test_grid_and_per_point_paths_agree(self, tmp_path, capsys, monkeypatch):
+        args = ["figure1", "figure3", "--quick", "--out"]
+        kernels = []
+        real_sweep = replay_module._sweep
+
+        def counted_sweep(*call_args):
+            kernels.append(call_args[3])
+            return real_sweep(*call_args)
+
+        monkeypatch.setattr(replay_module, "_sweep", counted_sweep)
+        grid, loop = tmp_path / "grid", tmp_path / "loop"
+        assert main([*args, str(grid)]) == 0
+        assert kernels  # the integer grids took the grid kernel
+        monkeypatch.setattr(replay_module, "_integer_grid", lambda betas: False)
+        swept = len(kernels)
+        assert main([*args, str(loop)]) == 0
+        assert len(kernels) == swept  # ... and now the per-point loop
+
+        names = sorted(path.name for path in grid.iterdir())
+        assert names == sorted(path.name for path in loop.iterdir())
+        for name in names:
+            left, right = (grid / name).read_bytes(), (loop / name).read_bytes()
+            if name.endswith(".meta.json"):
+                assert stable_view(json.loads(left)) == stable_view(
+                    json.loads(right)
+                ), name
+            else:
+                assert left == right, name

@@ -139,10 +139,34 @@ class TestWrite:
         assert loaded == json.loads(path.read_text())
 
 
+#: The Eq. 2 block ``runner --all --quick --out`` writes for
+#: ``ablation_dram``: its terms and total are separate counters summed
+#: over many fractional-cycle results, so they round differently.
+ABLATION_DRAM_QUICK_EQ2 = {
+    "execute_cycles": 66125.99999999984,
+    "flush_stall_cycles": 55091.9161786663,
+    "read_stall_cycles": 214405.99999999983,
+    "total_cycles": 335623.916178666,
+    "write_buffer_stall_cycles": 0.0,
+}
+
+
 class TestSchemaRejects:
     def test_eq2_terms_must_sum(self):
         document = _build()
         document["eq2"]["execute_cycles"] += 1.0
+        with pytest.raises(schemas.SchemaError, match="sum"):
+            schemas.validate_manifest(document)
+
+    def test_eq2_accepts_accumulated_rounding(self):
+        document = _build()
+        document["eq2"] = dict(ABLATION_DRAM_QUICK_EQ2)
+        schemas.validate_manifest(document)
+
+    def test_eq2_rounding_tolerance_is_not_a_cycle(self):
+        document = _build()
+        document["eq2"] = dict(ABLATION_DRAM_QUICK_EQ2)
+        document["eq2"]["read_stall_cycles"] += 1.0
         with pytest.raises(schemas.SchemaError, match="sum"):
             schemas.validate_manifest(document)
 
