@@ -211,8 +211,8 @@ def _extract(
     LRU/write-back/write-allocate geometries derive from the per-trace
     reuse profile (:mod:`repro.cache.reuse`) — byte-identical to
     stepping, one shared O(refs log refs) pass per trace instead of a
-    pure-Python cache pass per geometry.  Everything else, and any run
-    with ``REPRO_REUSE_PROFILE=0``, steps :class:`repro.cache.Cache`.
+    pure-Python cache pass per geometry.  Everything else steps
+    :class:`repro.cache.Cache`.
     Either way the choice is recorded in the diagnostic-only
     ``engine.phase1.dispatches{engine=,reason=}`` counter (mirroring
     ``engine.step_fallback.dispatches``; stripped by ``stable_view``
@@ -220,9 +220,6 @@ def _extract(
     """
     from repro.cache import reuse, reuse_store
 
-    if not reuse_store.reuse_enabled():
-        metrics.inc("engine.phase1.dispatches", engine="step", reason="disabled")
-        return extract_events(trace_factory(), config)
     reason = reuse.unsupported_reason(config)
     if reason is not None:
         metrics.inc("engine.phase1.dispatches", engine="step", reason=reason)

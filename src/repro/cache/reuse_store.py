@@ -13,19 +13,13 @@ a JSON sidecar — so ``REPRO_EVENTS_CACHE_DIR`` redirects both stores
 and wiping one cold-start wipes the other.  Persistence obeys the same
 ``REPRO_EVENTS_CACHE`` opt-out.
 
-Two knobs are specific to this store:
-
-* ``REPRO_REUSE_PROFILE=0`` (or ``off``) disables the reuse engine
-  entirely — every phase-1 extraction steps :class:`repro.cache.Cache`
-  as before (the runner's ``--no-reuse-profile`` flag sets this, which
-  also propagates to ``--jobs`` worker processes);
-* a small in-process memo keeps the most recent profiles (with their
-  lazily built line/set views) alive across the many
-  ``get_or_extract`` calls of one sweep, so the expensive stack-distance
-  arithmetic is shared, not just the reference arrays.  The memo is
-  bounded by the bytes its profiles hold (:data:`_MEMO_BYTES`), except
-  for the profile being looked up: a large profile (a loop nest's)
-  stays only until another trace is looked up.
+A small in-process memo keeps the most recent profiles (with their
+lazily built line/set views) alive across the many ``get_or_extract``
+calls of one sweep, so the expensive stack-distance arithmetic is
+shared, not just the reference arrays.  The memo is bounded by the bytes
+its profiles hold (:data:`_MEMO_BYTES`), except for the profile being
+looked up: a large profile (a loop nest's) stays only until another
+trace is looked up.
 
 Determinism note: like the events store, normal hit/miss paths record
 no metrics counters.  The one exception is the diagnostic-only
@@ -51,17 +45,12 @@ from repro.cache.reuse import (
 )
 from repro.obs import tracing
 from repro.trace.record import Instruction
-from repro.util import storeenv
 from repro.util.blobstore import BlobStore
 
 log = logging.getLogger("repro.reuse_store")
 
 #: Bump when the on-disk layout (file naming, sidecar format) changes.
 PROFILE_STORE_VERSION = 2
-
-#: Set to ``0``/``off``/``false`` to disable the reuse engine (phase 1
-#: falls back to stepping ``Cache`` for every geometry).
-REUSE_PROFILE_ENV = "REPRO_REUSE_PROFILE"
 
 #: In-process memo bound: bytes held by the memoized profiles (their
 #: reference arrays plus the line/set views built since).  A registry
@@ -71,12 +60,6 @@ REUSE_PROFILE_ENV = "REPRO_REUSE_PROFILE"
 _MEMO_BYTES = 24 * 2**20
 
 _memo: dict[str, ReuseProfile] = {}
-
-
-def reuse_enabled() -> bool:
-    """Whether the reuse engine is active (checked per call, so tests
-    and ``--no-reuse-profile`` can flip it at runtime)."""
-    return storeenv.enabled(REUSE_PROFILE_ENV)
 
 
 def store() -> BlobStore:

@@ -16,8 +16,9 @@ The registry directory defaults to ``~/.cache/repro/campaigns``
 
 ``--via-service URL`` switches the executor from in-process simulation
 to a running server or fleet: whole pending cache columns stream
-through ``/v1/sweep`` (with client-side mid-stream resume), stragglers
-go through ``/v1/simulate``.  Either way the registry contents are
+through ``/v1/sweep``, stragglers go through ``/v1/simulate``, and a
+cut connection or truncated stream re-plans the pending points from the
+campaign's own state.  Either way the registry contents are
 byte-identical — same content-addressed artifacts, same
 ``results.jsonl``.
 """
@@ -77,7 +78,6 @@ def _run(
             max_chunks=options.max_chunks,
             retry_errors=getattr(options, "retry_errors", False),
             client=client,
-            resume_retries=options.resume_retries,
             progress=narrate if not options.quiet else None,
         )
     finally:
@@ -265,13 +265,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="stop after N checkpoints (deterministic partial run)",
-    )
-    parser.add_argument(
-        "--resume-retries",
-        type=int,
-        default=executor.DEFAULT_RESUME_RETRIES,
-        help="mid-stream sweep reconnects tolerated per trace "
-        "(--via-service only)",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress checkpoint narration"

@@ -1,4 +1,4 @@
-"""The resumable campaign executor.
+"""The resumable campaign executor, and the one home of crash recovery.
 
 Drives a registered campaign's pending points to completion through the
 *existing* query paths — locally via
@@ -6,16 +6,31 @@ Drives a registered campaign's pending points to completion through the
 :func:`~repro.service.queries.simulate_from_events` (the exact
 functions the service's micro-batcher calls), or remotely via a running
 service / fleet (``--via-service URL``) using ``/v1/sweep`` streams for
-whole cache columns and ``/v1/simulate`` for stragglers.
+whole cache columns and ``/v1/simulate`` for stragglers.  The served
+executor (:mod:`repro.campaign.service`) runs inside a server on the
+same point loop.
+
+One point loop serves all three: :func:`unsettled_points` adopts any
+artifact a killed run stored after its last checkpoint and yields the
+points still to resolve, and :meth:`Checkpointer.settle` either stores a
+point's artifact or records its error document
+(:func:`repro.service.queries.point_error`).
 
 Checkpoint discipline: state is saved after every *chunk* (default 32
-points, matching the service's ``SWEEP_CHUNK``), atomically, with a
-checksum sidecar.  Kill the executor at any instant and the next run
-loads the last checkpoint, re-derives anything mid-flight from the
-content-addressed artifact store, and continues — completed points are
+points, matching the service's ``SWEEP_CHUNK``) and once more when a run
+ends, however it ends — atomically, with a checksum sidecar.  Kill the
+executor at any instant and the next run loads the last checkpoint,
+adopts whatever landed after it, and continues — completed points are
 **never** re-simulated (test-pinned via the engine's phase-1 dispatch
 counters) and the final ``results.jsonl`` is byte-identical to an
 uninterrupted run.
+
+``--via-service`` recovers from a cut connection or a truncated stream
+the same way, without leaving the process: it plans its pending points
+again from the campaign's state and sends only those.  After
+:data:`REPLAN_LIMIT` consecutive re-plans that settle no point, the cut
+is raised.  A server verdict (a ``ServiceError`` with a real HTTP
+status) is never retried.
 
 Byte-identity across modes: an artifact stores ``dump_json(result)``
 bytes — the same canonical rendering the service's result caches hold —
@@ -25,13 +40,15 @@ produces identical files.
 
 from __future__ import annotations
 
+import http.client
 import logging
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.campaign import spec as spec_mod
 from repro.campaign.registry import Campaign
 from repro.obs import metrics, tracing
 from repro.service import queries
+from repro.service.client import ServiceError
 from repro.util.jsonout import dump_json
 
 log = logging.getLogger("repro.campaign")
@@ -39,54 +56,29 @@ log = logging.getLogger("repro.campaign")
 #: Points per checkpoint chunk; mirrors ``ServiceApp.SWEEP_CHUNK``.
 DEFAULT_CHUNK = 32
 
-#: Mid-stream reconnects the service path tolerates per sweep (the
-#: client re-issues and dedupes by global index, mirroring the router's
-#: sub-stream resume).
-DEFAULT_RESUME_RETRIES = 2
+#: Consecutive ``--via-service`` re-plans that may settle no point
+#: before the cut that ended the last attempt is raised.
+REPLAN_LIMIT = 2
 
 
-def classify_error(error: BaseException) -> dict[str, Any]:
-    """A local failure as the service's structured point-error shape,
-    so state entries look the same whichever path produced them."""
-    if isinstance(error, queries.InvalidQuery):
-        status, code = 400, "invalid_params"
-    else:
-        status, code = 500, "internal_error"
-    return {
-        "code": code,
-        "message": str(error) or type(error).__name__,
-        "status": status,
-    }
-
-
-def _remote_error(error: BaseException) -> dict[str, Any]:
-    """A client-side failure as the structured point-error shape,
-    preserving the service's own code/status when it answered."""
-    status = getattr(error, "status", None)
-    code = getattr(error, "code", None)
-    if isinstance(status, int) and isinstance(code, str):
-        return {
-            "code": code,
-            "message": str(error) or type(error).__name__,
-            "status": status,
-        }
-    return classify_error(error)
-
-
-class _Checkpointer:
-    """Counts terminal points and saves state every ``chunk_size``."""
+class Checkpointer:
+    """Settles points into campaign state and saves it every
+    ``chunk_size``; ``count`` hears each outcome (``done``, ``reused``
+    or ``error``)."""
 
     def __init__(
         self,
         campaign: Campaign,
         status: dict[int, dict[str, Any]],
         chunk_size: int,
-        max_chunks: int | None,
-        progress: Callable[[dict[str, Any]], None] | None,
+        count: Callable[[str], None],
+        max_chunks: int | None = None,
+        progress: Callable[[dict[str, Any]], None] | None = None,
     ) -> None:
         self.campaign = campaign
         self.status = status
         self.chunk_size = chunk_size
+        self.count = count
         self.max_chunks = max_chunks
         self.progress = progress
         self.chunks = 0
@@ -97,6 +89,22 @@ class _Checkpointer:
         self._since_save += 1
         if self._since_save >= self.chunk_size:
             self.flush()
+
+    def settle(
+        self, cp: spec_mod.CampaignPoint, record: dict[str, Any]
+    ) -> None:
+        """Store ``record["result"]`` as the point's artifact, or record
+        ``record["error"]`` — ``record`` is shaped like a sweep line."""
+        if "error" in record:
+            self.count("error")
+            self.record(cp.index, {"error": record["error"]})
+            return
+        key = self.campaign.result_key_of(cp.point)
+        self.campaign.store_artifact(
+            key, dump_json(record["result"]).encode("utf-8")
+        )
+        self.count("done")
+        self.record(cp.index, {"artifact": key})
 
     def flush(self) -> None:
         if self._since_save == 0:
@@ -114,43 +122,46 @@ class _Checkpointer:
         if self.progress is not None:
             self.progress(self.campaign.progress(self.status))
 
+    def finish(self) -> dict[str, Any]:
+        """The final progress; writes ``results.jsonl`` once complete."""
+        final = self.campaign.progress(self.status)
+        if final["complete"]:
+            self.campaign.write_results(self.status)
+        return final
+
     @property
     def exhausted(self) -> bool:
         """Whether the chunk budget (``max_chunks``) is spent."""
         return self.max_chunks is not None and self.chunks >= self.max_chunks
 
 
-def _pending_points(
-    campaign: Campaign,
-    status: dict[int, dict[str, Any]],
-    retry_errors: bool,
-) -> list[spec_mod.CampaignPoint]:
-    pending = []
+def unsettled_points(
+    checkpointer: Checkpointer,
+) -> Iterator[spec_mod.CampaignPoint]:
+    """The points with no state entry, in index order, until the chunk
+    budget is spent.
+
+    A point whose artifact a killed run stored after its last checkpoint
+    is adopted instead of yielded: recorded and counted ``reused``, with
+    zero re-simulation.
+    """
+    campaign = checkpointer.campaign
     for cp in spec_mod.iter_points(campaign.spec):
-        entry = status.get(cp.index)
-        if entry is None or (retry_errors and "error" in entry):
-            if entry is not None:
-                del status[cp.index]
-            pending.append(cp)
-    return pending
-
-
-def _run_local(
-    campaign: Campaign,
-    pending: list[spec_mod.CampaignPoint],
-    checkpointer: _Checkpointer,
-    counts: dict[str, int],
-) -> None:
-    for cp in pending:
         if checkpointer.exhausted:
             return
+        if cp.index in checkpointer.status:
+            continue
         key = campaign.result_key_of(cp.point)
         if campaign.load_artifact(key) is not None:
-            # A previous (killed) run stored the artifact but died
-            # before the checkpoint: adopt it, zero re-simulation.
-            counts["reused"] += 1
+            checkpointer.count("reused")
             checkpointer.record(cp.index, {"artifact": key})
             continue
+        yield cp
+
+
+def _run_local(checkpointer: Checkpointer) -> None:
+    campaign = checkpointer.campaign
+    for cp in unsettled_points(checkpointer):
         params = spec_mod.point_params(campaign.spec, cp.point)
         try:
             with tracing.span(
@@ -158,83 +169,38 @@ def _run_local(
             ):
                 events = queries.resolve_events(params)
                 result = queries.simulate_from_events(params, events)
+            record = {"result": result}
         except Exception as error:  # noqa: BLE001 - recorded per point
-            counts["errors"] += 1
-            metrics.inc("campaign.points", outcome="error")
-            checkpointer.record(cp.index, {"error": classify_error(error)})
-            continue
-        campaign.store_artifact(key, dump_json(result).encode("utf-8"))
-        counts["simulated"] += 1
-        metrics.inc("campaign.points", outcome="done")
-        checkpointer.record(cp.index, {"artifact": key})
+            record = {"error": queries.point_error(error)}
+        checkpointer.settle(cp, record)
 
 
-def _record_remote(
-    campaign: Campaign,
-    cp: spec_mod.CampaignPoint,
-    record: dict[str, Any],
-    checkpointer: _Checkpointer,
-    counts: dict[str, int],
-) -> None:
-    """Fold one service point record into campaign state."""
-    if "error" in record:
-        counts["errors"] += 1
-        metrics.inc("campaign.points", outcome="error")
-        checkpointer.record(cp.index, {"error": record["error"]})
-        return
-    key = campaign.result_key_of(cp.point)
-    campaign.store_artifact(
-        key, dump_json(record["result"]).encode("utf-8")
-    )
-    counts["simulated"] += 1
-    metrics.inc("campaign.points", outcome="done")
-    checkpointer.record(cp.index, {"artifact": key})
-
-
-def _run_via_service(
-    campaign: Campaign,
-    pending: list[spec_mod.CampaignPoint],
-    checkpointer: _Checkpointer,
-    counts: dict[str, int],
-    client: Any,
-    resume_retries: int,
-) -> None:
-    """Drive pending points through a running service / fleet.
+def _service_pass(checkpointer: Checkpointer, client: Any) -> None:
+    """Plan the pending points from state and send them once.
 
     Whole pending cache columns of one trace become a single
     ``/v1/sweep`` stream (sharded across the fleet when the URL is a
     router); leftover single points go through ``/v1/simulate``.
     """
-    spec = campaign.spec
+    spec = checkpointer.campaign.spec
     per = len(spec["policies"]) * len(spec["memory_cycles"])
     per_trace = len(spec["caches"]) * per
-    by_index = {cp.index: cp for cp in pending}
-
+    pending = {cp.index: cp for cp in unsettled_points(checkpointer)}
     for trace_index, trace in enumerate(spec["traces"]):
         if checkpointer.exhausted:
             return
         base = trace_index * per_trace
-        mine = [cp for cp in pending if cp.point["trace_index"] == trace_index]
-        if not mine:
-            continue
         # Cache columns where *every* cell is pending sweep as one
         # stream; anything else would re-request settled points.
-        full_columns = [
+        columns = [
             ci
             for ci in range(len(spec["caches"]))
-            if all(
-                base + ci * per + rem in by_index for rem in range(per)
-            )
+            if all(base + ci * per + rem in pending for rem in range(per))
         ]
-        stragglers = [
-            cp
-            for cp in mine
-            if cp.point["cache_index"] not in full_columns
-        ]
-        if full_columns and not checkpointer.exhausted:
+        if columns:
             sweep_params: dict[str, Any] = {
                 "trace": trace,
-                "caches": [spec["caches"][ci] for ci in full_columns],
+                "caches": [spec["caches"][ci] for ci in columns],
                 "policies": spec["policies"],
                 "memory_cycles": spec["memory_cycles"],
                 "bus_width": spec["bus_width"],
@@ -243,41 +209,57 @@ def _run_via_service(
             for key in ("write_buffer_depth", "pipelined_q", "deadline_ms"):
                 if spec[key] is not None:
                     sweep_params[key] = spec[key]
-            for record in client.sweep(
-                resume_retries=resume_retries, **sweep_params
-            ):
-                if "schema" in record or "done" in record:
-                    continue
+            for record in client.sweep(**sweep_params):
+                if "index" not in record:
+                    continue  # the header and the summary
+                if checkpointer.exhausted:
+                    return
                 # Sweep index -> campaign index: the stream enumerates
                 # the *subset* grid cache-major, so its cache slot maps
-                # through full_columns back to the spec's cache index.
-                sweep_index = record["index"]
-                ci = full_columns[sweep_index // per]
-                rem = sweep_index % per
-                index = base + ci * per + rem
-                cp = by_index[index]
-                if checkpointer.exhausted:
-                    break
-                _record_remote(campaign, cp, record, checkpointer, counts)
-        for cp in stragglers:
+                # through columns back to the spec's cache index.
+                ci = columns[record["index"] // per]
+                cp = pending[base + ci * per + record["index"] % per]
+                checkpointer.settle(cp, record)
+        for cp in pending.values():
+            if (
+                cp.point["trace_index"] != trace_index
+                or cp.point["cache_index"] in columns
+            ):
+                continue
             if checkpointer.exhausted:
                 return
-            params = spec_mod.point_params(spec, cp.point)
+            params = spec_mod.wire_params(spec_mod.point_params(spec, cp.point))
             try:
-                envelope = client.simulate(**spec_mod.wire_params(params))
-            except Exception as error:  # noqa: BLE001 - recorded per point
-                counts["errors"] += 1
-                metrics.inc("campaign.points", outcome="error")
-                checkpointer.record(
-                    cp.index, {"error": _remote_error(error)}
-                )
-                continue
-            _record_remote(
-                campaign,
-                cp,
-                {"result": envelope["result"]},
-                checkpointer,
-                counts,
+                record = {"result": client.simulate(**params)["result"]}
+            except ServiceError as error:
+                record = {"error": queries.point_error(error)}
+            checkpointer.settle(cp, record)
+
+
+def _run_via_service(checkpointer: Checkpointer, client: Any) -> None:
+    """:func:`_service_pass` until it ends whole, re-planning after a
+    cut connection or a truncated stream."""
+    idle = 0
+    while True:
+        settled = len(checkpointer.status)
+        try:
+            _service_pass(checkpointer, client)
+            return
+        except (
+            OSError,
+            http.client.HTTPException,
+            ValueError,
+            ServiceError,
+        ) as error:
+            if isinstance(error, ServiceError) and error.status:
+                raise  # a server verdict, not a cut
+            idle = 0 if len(checkpointer.status) > settled else idle + 1
+            if idle > REPLAN_LIMIT:
+                raise
+            log.warning(
+                "campaign %s: re-planning after %s",
+                checkpointer.campaign.id[:12],
+                str(error) or type(error).__name__,
             )
 
 
@@ -288,13 +270,12 @@ def run_campaign(
     max_chunks: int | None = None,
     retry_errors: bool = False,
     client: Any = None,
-    resume_retries: int = DEFAULT_RESUME_RETRIES,
     progress: Callable[[dict[str, Any]], None] | None = None,
 ) -> dict[str, Any]:
     """Run (or resume) a campaign until complete or out of chunks.
 
     ``client`` switches to the service path (any object with the
-    :class:`~repro.service.client.ServiceClient` ``sweep``/``request``
+    :class:`~repro.service.client.ServiceClient` ``sweep``/``simulate``
     shape); ``max_chunks`` bounds this invocation to N checkpoints —
     the deterministic stand-in for "the process died here" that the
     crash-resume tests build on.  ``retry_errors`` clears previously
@@ -306,28 +287,38 @@ def run_campaign(
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be > 0, got {chunk_size}")
     status = campaign.load_state()
-    pending = _pending_points(campaign, status, retry_errors)
-    counts = {"simulated": 0, "reused": 0, "errors": 0}
-    checkpointer = _Checkpointer(
-        campaign, status, chunk_size, max_chunks, progress
+    if retry_errors:
+        for index in [i for i, entry in status.items() if "error" in entry]:
+            del status[index]
+    counts = {"done": 0, "reused": 0, "error": 0}
+
+    def count(outcome: str) -> None:
+        counts[outcome] += 1
+        if outcome != "reused":  # adoptions are reported, not counted
+            metrics.inc("campaign.points", outcome=outcome)
+
+    checkpointer = Checkpointer(
+        campaign, status, chunk_size, count, max_chunks, progress
     )
     with tracing.span(
-        "campaign.run", campaign=campaign.id[:12], pending=len(pending)
+        "campaign.run",
+        campaign=campaign.id[:12],
+        pending=campaign.progress(status)["pending"],
     ):
-        if client is None:
-            _run_local(campaign, pending, checkpointer, counts)
-        else:
-            _run_via_service(
-                campaign, pending, checkpointer, counts, client, resume_retries
-            )
-        checkpointer.flush()
-    final = campaign.progress(status)
-    if final["complete"]:
-        campaign.write_results(status)
+        try:
+            if client is None:
+                _run_local(checkpointer)
+            else:
+                _run_via_service(checkpointer, client)
+        finally:
+            checkpointer.flush()
+    final = checkpointer.finish()
     return {
         "campaign": campaign.id,
         "chunks": checkpointer.chunks,
-        **counts,
+        "simulated": counts["done"],
+        "reused": counts["reused"],
+        "errors": counts["error"],
         "progress": final,
     }
 

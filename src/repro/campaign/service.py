@@ -30,19 +30,20 @@ import logging
 from typing import Any, Awaitable, Callable, Iterator
 
 from repro.campaign import spec as spec_mod
-from repro.campaign.executor import DEFAULT_CHUNK, _Checkpointer
+from repro.campaign.executor import (
+    DEFAULT_CHUNK,
+    Checkpointer,
+    unsettled_points,
+)
 from repro.campaign.registry import Campaign, CampaignRegistry
 from repro.obs import live, tracing
 from repro.obs.metrics import MetricsRegistry
-from repro.util.jsonout import dump_json
+from repro.service import queries
 
 log = logging.getLogger("repro.campaign")
 
 #: Async per-point resolver: validated simulate params -> result object.
 Resolver = Callable[[dict[str, Any]], Awaitable[dict[str, Any]]]
-
-#: Maps a resolver failure to the structured point-error object.
-ErrorClassifier = Callable[[BaseException], dict[str, Any]]
 
 
 class CampaignService:
@@ -52,13 +53,11 @@ class CampaignService:
         self,
         registry: CampaignRegistry,
         resolver: Resolver,
-        classify: ErrorClassifier,
         metrics_registry: MetricsRegistry,
         chunk_size: int = DEFAULT_CHUNK,
     ) -> None:
         self.registry = registry
         self.resolver = resolver
-        self.classify = classify
         self.metrics = metrics_registry
         self.chunk_size = chunk_size
         self._tasks: dict[str, asyncio.Task[None]] = {}
@@ -98,28 +97,21 @@ class CampaignService:
     # -- the background executor -------------------------------------------
 
     async def _run(self, campaign: Campaign) -> None:
-        status = campaign.load_state()
-        checkpointer = _Checkpointer(
-            campaign, status, self.chunk_size, None, None
+        checkpointer = Checkpointer(
+            campaign,
+            campaign.load_state(),
+            self.chunk_size,
+            lambda outcome: self.metrics.inc(
+                "service.campaign.points", outcome=outcome
+            ),
         )
         log.info(
             "campaign %s: running (%d pending)",
             campaign.id[:12],
-            campaign.progress(status)["pending"],
+            campaign.progress(checkpointer.status)["pending"],
         )
         try:
-            for cp in spec_mod.iter_points(campaign.spec):
-                if cp.index in status:
-                    continue
-                key = campaign.result_key_of(cp.point)
-                if campaign.load_artifact(key) is not None:
-                    # Artifact from a killed run that never made its
-                    # checkpoint: adopt it, no recompute.
-                    self.metrics.inc(
-                        "service.campaign.points", outcome="reused"
-                    )
-                    checkpointer.record(cp.index, {"artifact": key})
-                    continue
+            for cp in unsettled_points(checkpointer):
                 params = spec_mod.point_params(campaign.spec, cp.point)
                 try:
                     # Each point gets a fresh trace root so the fleet's
@@ -132,28 +124,15 @@ class CampaignService:
                             campaign=campaign.id[:12],
                             index=cp.index,
                         ):
-                            result = await self.resolver(params)
-                except asyncio.CancelledError:
-                    raise
-                except BaseException as error:  # noqa: BLE001 - per point
-                    self.metrics.inc(
-                        "service.campaign.points", outcome="error"
-                    )
-                    checkpointer.record(
-                        cp.index, {"error": self.classify(error)}
-                    )
-                    continue
-                campaign.store_artifact(
-                    key, dump_json(result).encode("utf-8")
-                )
-                self.metrics.inc("service.campaign.points", outcome="done")
-                checkpointer.record(cp.index, {"artifact": key})
+                            record = {"result": await self.resolver(params)}
+                except Exception as error:  # noqa: BLE001 - per point
+                    record = {"error": queries.point_error(error)}
+                checkpointer.settle(cp, record)
         finally:
             # A drain/cancel mid-chunk still persists the partial chunk:
             # resume re-derives nothing.
             checkpointer.flush()
-        if campaign.progress(status)["complete"]:
-            campaign.write_results(status)
+        if checkpointer.finish()["complete"]:
             self.metrics.inc("service.campaign.completed")
             log.info("campaign %s: complete", campaign.id[:12])
 

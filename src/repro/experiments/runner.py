@@ -94,13 +94,6 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
         "(results are identical either way; see docs/ENGINE.md)",
     )
     parser.add_argument(
-        "--no-reuse-profile",
-        action="store_true",
-        help="disable the reuse-distance phase-1 engine for this run: "
-        "every extraction steps the Cache oracle instead (results are "
-        "byte-identical either way; see docs/ENGINE.md)",
-    )
-    parser.add_argument(
         "--profile",
         nargs="?",
         const=profile_mod.DEFAULT_HZ,
@@ -250,13 +243,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.cache.events_store import EVENTS_CACHE_ENV
 
         os.environ[EVENTS_CACHE_ENV] = "0"
-    if args.no_reuse_profile:
-        # Same propagation trick as --no-events-cache.
-        import os
-
-        from repro.cache.reuse_store import REUSE_PROFILE_ENV
-
-        os.environ[REUSE_PROFILE_ENV] = "0"
     if args.list:
         for experiment_id in EXPERIMENTS:
             print(experiment_id)

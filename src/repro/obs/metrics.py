@@ -246,7 +246,9 @@ def record_timing(engine: str, result: "TimingResult") -> None:
     breakdown self-check runs on every recorded result.
     """
     registry = _ACTIVE
-    if registry is None:
+    if registry is None or not math.isfinite(result.cycles):
+        # An overflowed total has no Eq. (2) terms to check or sum; the
+        # service rejects it as invalid input (repro.service.queries).
         return
     breakdown = eq2_breakdown(result)
     registry.inc(f"engine.{engine}.calls")

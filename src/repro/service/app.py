@@ -627,13 +627,8 @@ class ServiceApp:
         for index, point, outcome, cached in sorted(resolved):
             if isinstance(outcome, BaseException):
                 failed += 1
-                status, code = self._classify_point_error(outcome)
                 record: dict[str, Any] = {
-                    "error": {
-                        "code": code,
-                        "message": str(outcome) or type(outcome).__name__,
-                        "status": status,
-                    },
+                    "error": queries.point_error(outcome),
                     "index": index,
                     "point": point,
                 }
@@ -648,18 +643,6 @@ class ServiceApp:
             self.registry.inc("service.sweep.points")
             lines.append(dump_json_line(record) + "\n")
         return "".join(lines).encode("utf-8"), failed
-
-    @staticmethod
-    def _classify_point_error(error: BaseException) -> tuple[int, str]:
-        if isinstance(error, HttpError):  # e.g. a forwarded point's answer
-            return error.status, error.code
-        if isinstance(error, QueueFullError):
-            return 429, "backpressure"
-        if isinstance(error, asyncio.TimeoutError):
-            return 504, "deadline_exceeded"
-        if isinstance(error, queries.InvalidQuery):
-            return 400, "invalid_params"
-        return 500, "internal_error"
 
     # -- the campaign endpoints ---------------------------------------------
 
@@ -729,15 +712,6 @@ class ServiceApp:
         )
         self._cache_store(key, dump_json(result).encode("utf-8"))
         return result
-
-    def classify_point_error_doc(self, error: BaseException) -> dict[str, Any]:
-        """A resolver failure as the structured point-error object."""
-        status, code = self._classify_point_error(error)
-        return {
-            "code": code,
-            "message": str(error) or type(error).__name__,
-            "status": status,
-        }
 
     # -- live observability -------------------------------------------------
 

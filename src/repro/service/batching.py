@@ -72,6 +72,9 @@ EVENTS_MEMO_ENTRIES = 8
 class QueueFullError(Exception):
     """The bounded request queue is at capacity (backpressure)."""
 
+    status = 429
+    code = "backpressure"
+
 
 @dataclass
 class _Pending:

@@ -389,86 +389,52 @@ class ServiceClient:
         """The full simulate envelope (``result`` plus ``cached``)."""
         return self.request("POST", "/v1/simulate", params)
 
-    def sweep(
-        self, resume_retries: int = 0, **params: Any
-    ) -> Iterator[dict[str, Any]]:
+    def sweep(self, **params: Any) -> Iterator[dict[str, Any]]:
         """Stream ``POST /v1/sweep``: yields decoded JSONL records.
 
         The first record is the stream header
         (``repro.service.sweep/1``), then one record per grid point as
         the server (or the fleet's shards) completes it, then the
-        ``{"done": true}`` summary.  A missing summary means the stream
-        was truncated.  Runs on a dedicated connection — the server
-        closes streaming connections when done — so the client's
-        keep-alive connection stays usable for other calls.  Lazily
-        evaluated: the request is sent, and any non-200 raised, at the
-        first ``next()``.
-
-        ``resume_retries`` opts into client-side mid-stream resume,
-        mirroring the router's sub-stream policy one level up: a
-        transport failure (server restart, cut connection, truncated
-        stream) re-issues the whole request and the points already
-        yielded are deduplicated by their global index, so the caller
-        still sees each index exactly once.  The re-issued grid is
-        served from the result caches, so a resume re-streams cheaply
-        rather than re-simulating.  The summary's ``errors`` count is
-        rewritten to match the error lines actually yielded, keeping
-        the merged stream valid under ``validate_sweep_stream``.  The
-        default stays 0: a truncated stream raises, as before.
+        ``{"done": true}`` summary.  A stream that ends without the
+        summary was truncated and raises ``ServiceError(0,
+        "truncated")``; a cut connection raises its transport error.
+        Nothing is retried here: a campaign run ``--via-service``
+        recovers by re-planning from its own state.  Runs on a dedicated
+        connection — the server closes streaming connections when done —
+        so the client's keep-alive connection stays usable for other
+        calls.  Lazily evaluated: the request is sent, and any non-200
+        raised, at the first ``next()``.
         """
-        yielded: set[int] = set()
-        header_emitted = False
-        emitted_errors = 0
-        attempts = 0
-        while True:
-            failure: Exception | None = None
-            try:
-                for record in self._sweep_attempt(params):
-                    if "index" not in record:
-                        if "done" in record:  # the summary: stream is whole
-                            summary = dict(record)
-                            summary["errors"] = emitted_errors
-                            yield summary
-                            return
-                        if not header_emitted:  # the header
-                            header_emitted = True
-                            yield record
-                        continue
-                    index = record["index"]
-                    if index in yielded:
-                        continue
-                    yielded.add(index)
-                    if "error" in record:
-                        emitted_errors += 1
-                    yield record
-            except (OSError, http.client.HTTPException, ValueError) as exc:
-                failure = exc
-            # Either a transport failure or an EOF without a summary.
-            attempts += 1
-            if attempts > resume_retries:
-                if failure is not None:
-                    raise failure
-                raise ServiceError(
-                    0, "truncated", "sweep stream ended without a summary"
-                )
-            self.stats.retries += 1
+        records = self._stream(
+            "POST", "/v1/sweep", json.dumps({"params": params})
+        )
+        for record in records:
+            if "done" in record:
+                # The server closes the stream after the summary; reading
+                # to that end is what records the call as a success.
+                for _ in records:
+                    pass
+                yield record
+                return
+            yield record
+        raise ServiceError(
+            0, "truncated", "sweep stream ended without a summary"
+        )
 
-    def _sweep_attempt(
-        self, params: dict[str, Any]
+    def _stream(
+        self, method: str, path: str, body: str | None = None
     ) -> Iterator[dict[str, Any]]:
-        """One raw sweep stream over a dedicated connection."""
+        """One streamed (chunked JSONL) response on a dedicated
+        connection, one decoded record per yield; a non-200 answer
+        raises :class:`ServiceError` with the server's envelope."""
         conn = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
+        headers = {"Content-Type": "application/json"} if body else {}
         started = time.perf_counter()
         error = True
         try:
-            conn.request(
-                "POST",
-                "/v1/sweep",
-                body=json.dumps({"params": params}),
-                headers={"Content-Type": "application/json"},
-            )
+            conn.request(method, path, body=body, headers=headers)
             response = conn.getresponse()
             self.last_request_id = response.getheader(REQUEST_ID_HEADER)
             if response.status != 200:
@@ -480,7 +446,7 @@ class ServiceClient:
                 raise ServiceError(
                     response.status,
                     envelope_error.get("code", "unknown"),
-                    envelope_error.get("message", "sweep request failed"),
+                    envelope_error.get("message", f"{method} {path} failed"),
                 )
             while True:
                 # http.client decodes the chunked framing; each read
@@ -517,39 +483,7 @@ class ServiceClient:
         """``GET /v1/campaigns/{ref}/results``: stream the results JSONL
         (header, terminal points so far, summary) on a dedicated
         connection, one decoded record per yield."""
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        started = time.perf_counter()
-        error = True
-        try:
-            conn.request("GET", f"/v1/campaigns/{ref}/results")
-            response = conn.getresponse()
-            self.last_request_id = response.getheader(REQUEST_ID_HEADER)
-            if response.status != 200:
-                envelope_error = {}
-                try:
-                    envelope_error = json.loads(response.read()).get("error", {})
-                except (ValueError, http.client.HTTPException):
-                    pass
-                raise ServiceError(
-                    response.status,
-                    envelope_error.get("code", "unknown"),
-                    envelope_error.get("message", "campaign results failed"),
-                )
-            while True:
-                line = response.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if line:
-                    yield json.loads(line)
-            error = False
-        finally:
-            conn.close()
-            self.stats.record(
-                (time.perf_counter() - started) * 1000.0, error=error
-            )
+        return self._stream("GET", f"/v1/campaigns/{ref}/results")
 
     def wait_campaign(
         self, ref: str, timeout: float = 60.0, poll_s: float = 0.2

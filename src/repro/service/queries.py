@@ -23,6 +23,8 @@ serialization both the service tests and the CLI comparisons use.
 
 from __future__ import annotations
 
+import asyncio
+import math
 from typing import Any
 
 from repro.analysis.design_advisor import DesignBrief, recommend
@@ -59,6 +61,65 @@ class InvalidQuery(ValueError):
     """
 
 
+def point_error(error: BaseException) -> dict[str, Any]:
+    """One failed point as its ``{code, message, status}`` document.
+
+    The shape every sweep error line, campaign state entry and
+    ``results.jsonl`` error record carries, whichever path failed.  An
+    error that already names an HTTP ``status`` and ``code`` keeps them:
+    a worker's forwarded answer, a client-side ``ServiceError``, a full
+    queue.
+    """
+    status = getattr(error, "status", None)
+    code = getattr(error, "code", None)
+    if not (isinstance(status, int) and isinstance(code, str)):
+        if isinstance(error, asyncio.TimeoutError):
+            status, code = 504, "deadline_exceeded"
+        elif isinstance(error, InvalidQuery):
+            status, code = 400, "invalid_params"
+        else:
+            status, code = 500, "internal_error"
+    return {
+        "code": code,
+        "message": str(error) or type(error).__name__,
+        "status": status,
+    }
+
+
+def _first_non_finite(value: Any) -> tuple[str, float] | None:
+    """(path, value) of the first non-finite float in ``value``, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else ("", value)
+    if isinstance(value, dict):
+        items: Any = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return None
+    for key, item in items:
+        found = _first_non_finite(item)
+        if found is not None:
+            step = f"[{key}]" if isinstance(key, int) else f".{key}"
+            return step + found[0], found[1]
+    return None
+
+
+def _finite(result: dict[str, Any]) -> dict[str, Any]:
+    """``result`` itself, or :class:`InvalidQuery` naming its first
+    non-finite number.
+
+    Finite inputs can still overflow the model (a ``memory_cycle`` of
+    ``1e308`` makes every stall infinite), and JSON has no spelling for
+    the outcome; checked here, before a result reaches a cache, an
+    artifact or a sweep line.
+    """
+    found = _first_non_finite(result)
+    if found is not None:
+        path, value = found
+        raise InvalidQuery(f"non-finite result: result{path} is {value!r}")
+    return result
+
+
 def _system_config(params: dict[str, Any]) -> SystemConfig:
     try:
         return SystemConfig(
@@ -91,7 +152,7 @@ def execution_time_query(params: dict[str, Any]) -> dict[str, Any]:
         )
     except ValueError as error:
         raise InvalidQuery(str(error)) from None
-    return {
+    return _finite({
         "base_cycles": breakdown.base_cycles,
         "read_miss_stall_cycles": breakdown.read_miss_stall_cycles,
         "flush_cycles": breakdown.flush_cycles,
@@ -99,7 +160,7 @@ def execution_time_query(params: dict[str, Any]) -> dict[str, Any]:
         "instruction_fetch_cycles": breakdown.instruction_fetch_cycles,
         "total_cycles": breakdown.total,
         "cpi": breakdown.total / workload.instructions,
-    }
+    })
 
 
 def tradeoff_query(params: dict[str, Any]) -> dict[str, Any]:
@@ -119,13 +180,13 @@ def tradeoff_query(params: dict[str, Any]) -> dict[str, Any]:
         delta = result.hit_ratio_delta
     except ValueError as error:
         raise InvalidQuery(str(error)) from None
-    return {
+    return _finite({
         "feature": params["feature"],
         "miss_ratio_of_misses": r,
         "hit_ratio_delta": delta,
         "feature_hit_ratio": result.feature_hit_ratio,
         "is_physical": result.is_physical,
-    }
+    })
 
 
 def ranking_query(params: dict[str, Any]) -> dict[str, Any]:
@@ -160,12 +221,12 @@ def ranking_query(params: dict[str, Any]) -> dict[str, Any]:
         for beta in betas
     }
     crossover = comparison.pipelined_crossover_vs(ArchFeature.DOUBLING_BUS)
-    return {
+    return _finite({
         "betas": list(betas),
         "hit_ratio_traded": curves,
         "ranking_at": rankings,
         "pipelined_vs_doubling_crossover": crossover,
-    }
+    })
 
 
 def advise_query(params: dict[str, Any]) -> dict[str, Any]:
@@ -182,7 +243,7 @@ def advise_query(params: dict[str, Any]) -> dict[str, Any]:
         recommendations = recommend(brief)
     except ValueError as error:
         raise InvalidQuery(str(error)) from None
-    return {
+    return _finite({
         "base_hit_ratio": brief.base_hit_ratio,
         "recommendations": [
             {
@@ -196,7 +257,7 @@ def advise_query(params: dict[str, Any]) -> dict[str, Any]:
             }
             for rec in recommendations
         ],
-    }
+    })
 
 
 # -- the simulation-backed query ----------------------------------------
@@ -344,4 +405,4 @@ def simulate_from_events(
         )
     except ValueError as error:
         raise InvalidQuery(str(error)) from None
-    return timing_result_dict(result, engine)
+    return _finite(timing_result_dict(result, engine))

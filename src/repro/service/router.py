@@ -667,11 +667,13 @@ class RouterApp(ServiceApp):
         cache_index = global_index // per
         rem = global_index % per
         return {
-            "error": {
-                "code": "bad_upstream",
-                "message": f"shard {worker} did not deliver this point",
-                "status": 502,
-            },
+            "error": queries.point_error(
+                HttpError(
+                    502,
+                    "bad_upstream",
+                    f"shard {worker} did not deliver this point",
+                )
+            ),
             "index": global_index,
             "point": {
                 "cache_index": cache_index,

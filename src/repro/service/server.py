@@ -198,7 +198,6 @@ class ReproServer:
                     resolve_registry_dir(self.config.campaign_dir)
                 ),
                 self.app.resolve_point,
-                self.app.classify_point_error_doc,
                 self.registry,
             )
             self.app.campaign_service = self.campaign_service

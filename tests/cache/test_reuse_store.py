@@ -13,12 +13,10 @@ from repro.cache.events import EVENT_ARRAYS
 from repro.cache.events_store import EVENTS_CACHE_DIR_ENV, EVENTS_CACHE_ENV
 from repro.cache.reuse import PROFILE_ARRAYS, build_profile, derive_events
 from repro.cache.reuse_store import (
-    REUSE_PROFILE_ENV,
     entry_key,
     get_or_build,
     key_material,
     load,
-    reuse_enabled,
     save,
 )
 from repro.obs import metrics
@@ -248,15 +246,6 @@ class TestOptOut:
         get_or_build(FP, factory)
         assert len(calls) == 2  # REPRO_EVENTS_CACHE=0 promises recomputation
 
-    def test_reuse_profile_disabled_spellings(self, monkeypatch):
-        for value in ("0", "off", "FALSE", " no "):
-            monkeypatch.setenv(REUSE_PROFILE_ENV, value)
-            assert not reuse_enabled()
-        monkeypatch.setenv(REUSE_PROFILE_ENV, "1")
-        assert reuse_enabled()
-        monkeypatch.delenv(REUSE_PROFILE_ENV)
-        assert reuse_enabled()  # on by default
-
 
 class TestCorruption:
     def test_garbage_sidecar_falls_back(self, tmp_path):
@@ -316,26 +305,3 @@ class TestEngineDispatch:
             "{engine=step,reason=write_policy=write-through}"
         )
         assert counters[key] == 1
-
-    def test_env_opt_out_dispatches_step(self, monkeypatch):
-        monkeypatch.setenv(REUSE_PROFILE_ENV, "0")
-        registry = metrics.enable_metrics()
-        try:
-            stepped = self._get(CacheConfig(8192, 32, 2))
-        finally:
-            metrics.disable_metrics()
-        counters = registry.snapshot()["counters"]
-        assert (
-            counters["engine.phase1.dispatches{engine=step,reason=disabled}"]
-            == 1
-        )
-        monkeypatch.delenv(REUSE_PROFILE_ENV)
-        # Byte-identical either way: warm load now returns the stepped
-        # stream; a fresh reuse-path extraction must match it.
-        monkeypatch.setenv(EVENTS_CACHE_ENV, "0")
-        fast = events_store._extract(FP, CacheConfig(8192, 32, 2), _trace)
-        for name in EVENT_ARRAYS:
-            np.testing.assert_array_equal(
-                getattr(stepped, name), getattr(fast, name)
-            )
-        assert fast.stats == stepped.stats

@@ -10,7 +10,7 @@ import shutil
 
 import pytest
 
-from repro.campaign.executor import classify_error, run_campaign
+from repro.campaign.executor import run_campaign
 from repro.campaign.registry import CampaignRegistry
 from repro.obs import metrics
 from repro.service import queries
@@ -105,11 +105,11 @@ class TestZeroRework:
 
 class TestErrors:
     def test_classify_invalid_query_as_400(self):
-        doc = classify_error(queries.InvalidQuery("bad trace"))
+        doc = queries.point_error(queries.InvalidQuery("bad trace"))
         assert doc == {
             "code": "invalid_params", "message": "bad trace", "status": 400,
         }
-        assert classify_error(RuntimeError("boom"))["status"] == 500
+        assert queries.point_error(RuntimeError("boom"))["status"] == 500
 
     def test_errors_are_terminal_until_retried(
         self, golden, tmp_path, monkeypatch
@@ -143,6 +143,20 @@ class TestErrors:
             campaign.results_path.read_bytes()
             == golden.results_path.read_bytes()
         )
+
+    def test_overflowing_point_is_recorded_as_invalid_params(self, tmp_path):
+        registry = CampaignRegistry(tmp_path / "reg")
+        campaign, _ = registry.submit(
+            dict(DOC, memory_cycles=[1e308], exclude=[])
+        )
+        report = run_campaign(campaign)
+        assert report["errors"] == 2
+        for entry in campaign.load_state().values():
+            assert entry["error"] == {
+                "code": "invalid_params",
+                "message": "non-finite result: result.cycles is inf",
+                "status": 400,
+            }
 
     def test_chunk_size_validated(self, golden):
         with pytest.raises(ValueError, match="chunk_size"):

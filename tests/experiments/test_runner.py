@@ -174,44 +174,6 @@ class TestObservability:
 
 
 class TestReuseProfileFlag:
-    def test_no_reuse_profile_steps_the_oracle(self, tmp_path, capsys):
-        """--no-reuse-profile forces every phase-1 dispatch to the
-        stepping engine (results stay byte-identical; see the cache
-        suites for the equivalence pins)."""
-        import os
-
-        from repro.cache.reuse_store import REUSE_PROFILE_ENV
-
-        metrics_path = tmp_path / "metrics.json"
-        os.environ[EVENTS_CACHE_ENV] = "0"  # force cold extraction
-        try:
-            assert (
-                main(
-                    [
-                        "figure1",
-                        "--quick",
-                        "--no-reuse-profile",
-                        "--metrics",
-                        str(metrics_path),
-                    ]
-                )
-                == 0
-            )
-        finally:
-            os.environ.pop(EVENTS_CACHE_ENV, None)
-            os.environ.pop(REUSE_PROFILE_ENV, None)
-        counters = json.loads(metrics_path.read_text())["counters"]
-        dispatches = {
-            key: value
-            for key, value in counters.items()
-            if key.startswith("engine.phase1.dispatches")
-        }
-        assert dispatches  # cold run reached the dispatcher
-        assert all("engine=step" in key for key in dispatches)
-        assert counters[
-            "engine.phase1.dispatches{engine=step,reason=disabled}"
-        ] > 0
-
     def test_default_lru_sweep_never_steps(self, tmp_path, capsys):
         """Zero Cache stepping on an LRU-only sweep: every cold phase-1
         dispatch goes to the reuse engine."""

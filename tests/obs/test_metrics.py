@@ -1,5 +1,6 @@
 """Metrics registry: keys, merge determinism, Eq. (2) breakdown."""
 
+import dataclasses
 import json
 
 import pytest
@@ -140,6 +141,13 @@ class TestEq2:
         assert registry.counter("eq2.total_cycles") > 0
         for name in metrics.EQ2_TERMS:
             assert name in registry.snapshot()["counters"]
+
+    def test_overflowed_result_is_not_recorded(self):
+        registry = metrics.enable_metrics()
+        result = dataclasses.replace(_simulated(8.0), cycles=float("inf"))
+        before = registry.snapshot()["counters"]
+        metrics.record_timing("replay", result)  # must not raise
+        assert registry.snapshot()["counters"] == before
 
     def test_record_timing_noop_when_disabled(self):
         result = _simulated(8.0)

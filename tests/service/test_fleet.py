@@ -30,8 +30,9 @@ from repro.service import (
     ServiceClient,
     ServiceError,
 )
+from repro.service import schemas as request_schemas
 from repro.service.queries import timing_result_dict
-from repro.service.router import WorkerHandle
+from repro.service.router import SWEEP_RESUME_LIMIT, WorkerHandle
 from repro.trace.spec92 import spec92_trace
 from repro.util.jsonout import dump_json
 
@@ -129,6 +130,101 @@ class TestShardedSweep:
             assert dump_json(by_index[index]["result"]) == dump_json(
                 envelope["result"]
             )
+
+
+SWEEP = dict(
+    trace=TRACE,
+    caches=CACHES,
+    policies=["FS", "BNL3"],
+    memory_cycles=[8.0, 16.0],
+)
+
+
+def _cut_worker_streams(fleet, worker, after, times):
+    """``fleet.stream`` with ``worker``'s next ``times`` sub-streams
+    failing after ``after`` point records, as a dropped connection
+    would."""
+    original = fleet.stream
+
+    async def stream(name, method, path, body):
+        nonlocal times
+        records = original(name, method, path, body)
+        try:
+            points = 0
+            async for record in records:
+                if name == worker and times and "index" in record:
+                    if points == after:
+                        times -= 1
+                        raise ConnectionResetError("stream cut by the test")
+                    points += 1
+                yield record
+        finally:
+            await records.aclose()
+
+    return stream
+
+
+class TestSweepResume:
+    """The router's sub-stream resume, driven by injected stream cuts."""
+
+    def _victim(self, handle):
+        """The first worker by name and the global indices it owns."""
+        validated = request_schemas.validate_sweep(SWEEP)
+        owned = handle.server.app._assignments(validated)
+        worker = min(owned)
+        per = len(SWEEP["policies"]) * len(SWEEP["memory_cycles"])
+        return worker, {
+            cache * per + rem for cache in owned[worker] for rem in range(per)
+        }
+
+    def _resumes(self, handle, worker):
+        counters = handle.server.registry.snapshot()["counters"]
+        key = f"service.router.sweep_resumes{{worker={worker}}}"
+        return counters.get(key, 0)
+
+    def test_cut_stream_resumes_to_the_one_process_answer(
+        self, fleet, monkeypatch
+    ):
+        handle, client = fleet
+        worker, _owned = self._victim(handle)
+        cut = _cut_worker_streams(handle.server.fleet, worker, after=2, times=1)
+        monkeypatch.setattr(handle.server.fleet, "stream", cut)
+        before = self._resumes(handle, worker)
+        records = list(client.sweep(**SWEEP))
+        validate_sweep_stream(records)
+        assert self._resumes(handle, worker) - before == 1
+        points = records[1:-1]
+        assert sorted(r["index"] for r in points) == list(range(12))
+        assert not [r for r in points if "error" in r]
+        with ServerThread() as single:
+            with ServiceClient("127.0.0.1", single.port) as one:
+                expected = list(one.sweep(**SWEEP))[1:-1]
+        assert {r["index"]: dump_json(r["result"]) for r in points} == {
+            r["index"]: dump_json(r["result"]) for r in expected
+        }
+
+    def test_undelivered_points_become_502_lines(self, fleet, monkeypatch):
+        handle, client = fleet
+        worker, owned = self._victim(handle)
+        cut = _cut_worker_streams(
+            handle.server.fleet, worker, after=1, times=1 + SWEEP_RESUME_LIMIT
+        )
+        monkeypatch.setattr(handle.server.fleet, "stream", cut)
+        records = list(client.sweep(**SWEEP))
+        validate_sweep_stream(records)
+        points = records[1:-1]
+        assert sorted(r["index"] for r in points) == list(range(12))
+        delivered = {r["index"] for r in points if "result" in r}
+        failed = {r["index"]: r["error"] for r in points if "error" in r}
+        assert len(owned - delivered) == len(owned) - 1
+        assert set(failed) == owned - delivered
+        assert records[-1]["errors"] == len(failed)
+        for error in failed.values():
+            assert error == {
+                "code": "bad_upstream",
+                "message": f"shard {worker} did not deliver this point",
+                "status": 502,
+            }
 
 
 class TestOneConfig:

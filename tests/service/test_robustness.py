@@ -315,8 +315,52 @@ class TestMalformedInput:
                 "invalid_json",
                 "request body is not JSON: ",
             ),
+            # Finite inputs that overflow the model.
+            (
+                "/v1/execution-time",
+                b'{"params": {"hit_ratio": 0.9, "instructions": 1e308, '
+                b'"memory_cycle": 1e308}}',
+                "invalid_params",
+                "non-finite result: result.read_miss_stall_cycles is inf",
+            ),
+            (
+                "/v1/simulate",
+                b'{"params": {"memory_cycle": 1e308}}',
+                "invalid_params",
+                "non-finite result: result.cycles is inf",
+            ),
+            (
+                "/v1/tradeoff",
+                b'{"params": {"feature": "doubling-bus", '
+                b'"base_hit_ratio": 0.9, "memory_cycle": 1e308}}',
+                "invalid_params",
+                "non-finite result: result.miss_ratio_of_misses is nan",
+            ),
+            (
+                "/v1/ranking",
+                b'{"params": {"base_hit_ratio": 0.9, "betas": [1e308]}}',
+                "invalid_params",
+                "non-finite result: result.hit_ratio_traded.doubling-bus[0] is nan",
+            ),
+            (
+                "/v1/advise",
+                b'{"params": {"memory_cycle": 1e308}}',
+                "invalid_params",
+                "non-finite result: result.recommendations[0].hit_ratio_value is nan",
+            ),
         ],
-        ids=["infinity-200", "infinity-500", "nan", "401-digits", "5001-digits"],
+        ids=[
+            "infinity-200",
+            "infinity-500",
+            "nan",
+            "401-digits",
+            "5001-digits",
+            "overflow-execution-time",
+            "overflow-simulate",
+            "overflow-tradeoff",
+            "overflow-ranking",
+            "overflow-advise",
+        ],
     )
     def test_unrepresentable_numbers_are_a_400(self, server, path, body, code, message):
         status, envelope = raw_request(server.port, body, path=path)

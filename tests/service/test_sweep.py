@@ -82,6 +82,22 @@ class TestIdentity:
 
 
 class TestPointErrors:
+    def test_overflowing_point_becomes_an_invalid_params_line(self, server):
+        """A point whose finite inputs overflow the model is a 400 line,
+        never an ``Infinity`` token, and never cached."""
+        _, client = server
+        grid = dict(GRID, caches=CACHES[:1], memory_cycles=[1e308])
+        for _attempt in range(2):
+            records = list(client.sweep(**grid))
+            validate_sweep_stream(records)
+            assert records[-1]["errors"] == 2
+            for point in records[1:-1]:
+                assert point["error"] == {
+                    "code": "invalid_params",
+                    "message": "non-finite result: result.cycles is inf",
+                    "status": 400,
+                }
+
     def test_expired_deadline_becomes_error_lines_not_a_broken_stream(self):
         """A point that cannot meet its deadline is reported in-stream;
         the stream still terminates with a complete index space."""

@@ -1,12 +1,14 @@
-"""Client-side mid-stream sweep resume (``sweep(resume_retries=N)``).
+"""The client's sweep stream under scripted disconnects.
 
 A scripted TCP server plays back one canned HTTP response per
 connection — truncated streams, half-written JSON lines, error
 statuses — so every disconnect shape is deterministic.  The contract
-under test: with retries the caller sees each point index exactly once
-and a summary whose error count matches the error lines actually
-yielded (keeping the merged stream valid); without retries a truncated
-stream still raises.
+under test: the client never retries a sweep.  A stream without its
+summary raises ``ServiceError(0, "truncated")``, a torn line raises its
+transport error, and a server verdict raises with its status; a campaign
+run ``--via-service`` recovers by re-planning from its own state
+(``tests/campaign/test_via_service.py``).  A whole stream is read to its
+end and counted as a success.
 """
 
 import json
@@ -134,75 +136,25 @@ def flaky(request):
         server.close()
 
 
-class TestResume:
-    def test_truncated_stream_resumes_and_dedupes(self, flaky):
-        server, client = flaky(
-            [
-                # First attempt dies after two points, no summary.
-                _ok(_lines(HEADER, POINTS[0], POINTS[1])),
-                # The re-issued request replays the whole grid (served
-                # from the result caches on a real server) and finishes.
-                _ok(_lines(HEADER, *POINTS, SUMMARY)),
-            ]
-        )
-        records = list(client.sweep(resume_retries=1, caches=[{}, {}]))
-        assert server.connections == 2
-        assert client.stats.retries == 1
-        # One header, each index exactly once, one summary — a valid
-        # stream despite the mid-flight reconnect.
+class TestDefaultOff:
+    def test_whole_sweep_counts_as_a_success(self, flaky):
+        server, client = flaky([_ok(_lines(HEADER, *POINTS, SUMMARY))])
+        records = list(client.sweep())
         validate_sweep_stream(records)
-        assert [r.get("index") for r in records[1:-1]] == [0, 1, 2, 3]
-        assert records[-1] == {"done": True, "errors": 1, "points": 4}
+        assert records[-1] == SUMMARY
+        assert server.connections == 1
+        assert client.stats.calls == 1
+        assert client.stats.errors == 0
 
     def test_half_written_json_line_is_a_transport_failure(self, flaky):
         server, client = flaky(
-            [
-                _ok(_lines(HEADER, POINTS[0]) + b'{"index": 1, "res'),
-                _ok(_lines(HEADER, *POINTS, SUMMARY)),
-            ]
+            [_ok(_lines(HEADER, POINTS[0]) + b'{"index": 1, "res')]
         )
-        records = list(client.sweep(resume_retries=1))
-        assert server.connections == 2
-        validate_sweep_stream(records)
+        with pytest.raises(ValueError):
+            list(client.sweep())
+        assert server.connections == 1
+        assert client.stats.errors == 1
 
-    def test_errors_rewritten_to_match_yielded_lines(self, flaky):
-        """The error point streams in attempt 1; attempt 2's summary
-        still says 1 — and after dedupe so must the merged stream's."""
-        _server, client = flaky(
-            [
-                _ok(_lines(HEADER, POINTS[1])),
-                _ok(
-                    _lines(
-                        HEADER,
-                        POINTS[0],
-                        POINTS[1],
-                        POINTS[2],
-                        POINTS[3],
-                        SUMMARY,
-                    )
-                ),
-            ]
-        )
-        records = list(client.sweep(resume_retries=1))
-        error_lines = sum(1 for r in records if "error" in r and "index" in r)
-        assert error_lines == 1
-        assert records[-1]["errors"] == 1
-        validate_sweep_stream(records)
-
-    def test_retries_exhausted_reraises(self, flaky):
-        server, client = flaky(
-            [
-                _ok(_lines(HEADER, POINTS[0])),
-                _ok(_lines(HEADER, POINTS[1])),
-            ]
-        )
-        with pytest.raises(ServiceError) as excinfo:
-            list(client.sweep(resume_retries=1))
-        assert excinfo.value.code == "truncated"
-        assert server.connections == 2
-
-
-class TestDefaultOff:
     def test_truncation_raises_without_retries(self, flaky):
         server, client = flaky([_ok(_lines(HEADER, POINTS[0]))])
         with pytest.raises(ServiceError, match="without a summary"):
@@ -217,8 +169,7 @@ class TestDefaultOff:
             ]
         )
         with pytest.raises(ServiceError) as excinfo:
-            list(client.sweep(resume_retries=3))
+            list(client.sweep())
         assert excinfo.value.status == 429
-        # The structured rejection consumed exactly one connection —
-        # resume is for transport failures, not server verdicts.
+        # The structured rejection consumed exactly one connection.
         assert server.connections == 1
