@@ -17,7 +17,8 @@ three serving layers at once:
 * across rounds, repeated configurations hit the content-addressed
   result cache (``cache_hit_rate``);
 * across the whole run, phase-1 extraction happens exactly once per
-  distinct key (``coalescing.phase1_extractions`` vs ``distinct_keys``).
+  distinct key (``coalescing.phase1_extractions``, the events memo's
+  ``phase1.memo.miss`` count, vs ``distinct_keys``).
 
 The closed-loop levels are followed by an **open-loop capacity** probe
 (schema ``/4``): Poisson arrivals at a ladder of offered rates over a
@@ -47,6 +48,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from _provenance import bench_provenance
 
+from repro.cache import events_store
 from repro.cache.events_store import EVENTS_CACHE_DIR_ENV
 from repro.obs import metrics
 from repro.obs.metrics import percentile
@@ -59,7 +61,6 @@ from repro.service import (
     ServiceClient,
 )
 from repro.service import queries, schemas as request_schemas
-from repro.service.batching import EVENTS_MEMO_ENTRIES
 
 #: One shared trace per level keeps the (trace, geometry) key hot while
 #: every request still asks a distinct timing question (its own beta).
@@ -443,9 +444,12 @@ def collect() -> dict:
     os.environ[EVENTS_CACHE_DIR_ENV] = store_dir
     if metrics.metrics_enabled():
         metrics.disable_metrics()
+    # The events memo is process-global: start it empty, so each key's
+    # first resolve is a counted miss.
+    events_store.clear_memory()
     config = ServerConfig()
     handle = ServerThread(config)  # shares the global metrics registry so
-    try:  # engine dispatch counters land in the same snapshot
+    try:  # engine and memo counters land in the same snapshot
         handle.start()
         registry = handle.server.registry
         probe = ServiceClient("127.0.0.1", handle.port)
@@ -470,6 +474,9 @@ def collect() -> dict:
             f"{warm['cold_compute_ms']} ms ({warm['speedup']}x)"
         )
         phase_breakdown = run_profiled_window(handle.port)
+        # Read before the capacity servers run: their batch threads
+        # count into this same process-global registry.
+        extractions = registry.counter("phase1.memo.miss")
         capacity = run_capacity_section()
         print(
             f"capacity: single {capacity['single']['max_sustained_rps']:g} "
@@ -492,7 +499,6 @@ def collect() -> dict:
             "server": {
                 "queue_limit": config.queue_limit,
                 "result_cache_bytes": config.result_cache_bytes,
-                "events_memo_entries": EVENTS_MEMO_ENTRIES,
             },
             "workload": {
                 "requests_per_client": ROUNDS_PER_CLIENT,
@@ -511,9 +517,7 @@ def collect() -> dict:
             "levels": levels,
             "coalescing": {
                 "distinct_keys": len(all_keys),
-                "phase1_extractions": registry.counter(
-                    "service.phase1.resolves"
-                ),
+                "phase1_extractions": extractions,
             },
             "warm_cache": warm,
             "capacity": capacity,

@@ -415,7 +415,7 @@ def main(argv=None) -> int:
             failures.append(f"{step_calls} step-simulator dispatches (want 0)")
         if stats["result_cache"]["hits"] == 0:
             failures.append("no result-cache hits despite repeated configs")
-        if counter_total(counters, "service.phase1.resolves") > len(
+        if counter_total(counters, "phase1.memo.miss") > len(
             SIMULATE_CONFIGS
         ):
             failures.append("phase-1 ran more than once per distinct key")

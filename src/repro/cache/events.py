@@ -139,6 +139,9 @@ class EventStream:
         self.stats = stats
         self._windows: FillWindows | None = None
         self._derived: _Derived | None = None
+        self._array_bytes = sum(
+            getattr(self, name).nbytes for name in EVENT_ARRAYS
+        )
 
     # -- basic shape ----------------------------------------------------
 
@@ -156,6 +159,15 @@ class EventStream:
     def line_size(self) -> int:
         """Line size of the extracted geometry."""
         return self.config.line_size
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the event arrays and, once built, the fill
+        windows (the plain-list views of :attr:`derived` are not
+        counted)."""
+        if self._windows is None:
+            return self._array_bytes
+        return self._array_bytes + self._windows.nbytes
 
     # -- derived per-miss structures ------------------------------------
 
@@ -293,6 +305,12 @@ class FillWindows:
         self.touch_index = events.index[touch]
         self.touch_offset = events.offset[touch]
         self.touch_mask = touch
+        #: bytes held by the arrays above
+        self.nbytes = sum(
+            value.nbytes
+            for value in vars(self).values()
+            if isinstance(value, np.ndarray)
+        )
 
 
 class _Derived:
@@ -432,10 +450,9 @@ def extract_events(
 ) -> EventStream:
     """Run the untimed functional cache pass and build the event stream.
 
-    One pass through :class:`~repro.cache.Cache` per call; memoize at
-    the caller when the same ``(trace, geometry)`` recurs (see
-    ``repro.experiments._phi.spec92_event_streams``), and use
-    :mod:`repro.cache.events_store` to persist streams across runs.
+    One pass through :class:`~repro.cache.Cache` per call;
+    :func:`repro.cache.events_store.get_or_extract` memoizes streams in
+    process and persists them across runs.
     """
     cache = Cache(config)
     amap = cache.address_map

@@ -33,22 +33,30 @@ the service also shards requests on — where they were.  Any load
 failure — corrupt file, schema mismatch, partial write — silently falls
 back to re-extraction.
 
+:func:`get_or_extract` is the process's only memo of event streams:
+the experiments, the service's batch thread, campaigns and ``campaign
+compare`` all reach phase 1 through it.  The memo
+(:class:`~repro.util.blobstore.Memo`, the reuse store's rule) is keyed
+on the entry key and bounded by :data:`_MEMO_BYTES`.
+
 Opt-out / redirection:
 
-* ``REPRO_EVENTS_CACHE=0`` (or ``off``) disables the store entirely
-  (the experiment runner's ``--no-events-cache`` flag sets this, which
-  also propagates to ``--jobs`` worker processes);
+* ``REPRO_EVENTS_CACHE=0`` (or ``off``) disables the store and the
+  memo entirely (the experiment runner's ``--no-events-cache`` flag
+  sets this, which also propagates to ``--jobs`` worker processes);
 * ``REPRO_EVENTS_CACHE_DIR=<path>`` overrides the default location
   ``$XDG_CACHE_HOME/repro/events`` (``~/.cache/repro/events``).
 
-Determinism note: the store intentionally records no metrics counters
-on its normal hit/miss paths — a cold and a warm run must produce
-byte-identical metrics snapshots.  Cache activity is visible through
-span tracing (``events_store.load`` / ``events_store.save``) and debug
-logging.  The one exception is the **diagnostic-only**
-``store.corrupt_recompute{store=events}`` counter, bumped when a present
-entry fails to load and silently falls back to re-extraction;
-:func:`repro.obs.manifest.stable_view` strips it (see
+Determinism note: the disk store intentionally records no metrics
+counters on its normal hit/miss paths — a cold and a warm run must
+produce byte-identical metrics snapshots.  Cache activity is visible
+through span tracing (``events_store.load`` / ``events_store.save``) and
+debug logging.  The memo's ``phase1.memo.{hit,miss}`` counters do not
+depend on the disk: they count in-process lookups, which the runner
+makes from an empty memo in every experiment.  The one exception is the
+**diagnostic-only** ``store.corrupt_recompute{store=events}`` counter,
+bumped when a present entry fails to load and silently falls back to
+re-extraction; :func:`repro.obs.manifest.stable_view` strips it (see
 :data:`~repro.obs.manifest.DIAGNOSTIC_COUNTERS`) so the determinism
 contract is unchanged.
 """
@@ -58,8 +66,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import logging
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -70,11 +79,13 @@ from repro.cache.events import (
     EventStream,
     extract_events,
 )
+from repro.cache.reuse import ReuseProfile
 from repro.cache.stats import CacheStats
 from repro.obs import metrics, tracing
+from repro.trace.recipe import trace_recipe
 from repro.trace.record import Instruction
 from repro.util import storeenv
-from repro.util.blobstore import BlobStore
+from repro.util.blobstore import BlobStore, Memo
 
 log = logging.getLogger("repro.events_store")
 
@@ -86,6 +97,17 @@ EVENTS_CACHE_ENV = "REPRO_EVENTS_CACHE"
 
 #: Overrides the default cache directory.
 EVENTS_CACHE_DIR_ENV = "REPRO_EVENTS_CACHE_DIR"
+
+#: In-process memo bound: bytes held by the memoized streams (their
+#: event arrays plus the fill windows built since).  Figure 1's six
+#: 60k-instruction spec92 streams hold about 6.8 MiB and stay resident
+#: while its four policies replay them; a 48x48 matmul's stream holds
+#: 10-12 MiB, so it is dropped before the next lookup loads or builds,
+#: and never sits beside the next tile's 30 MiB reuse profile (the
+#: tiling extension sets the peak RSS of ``--all``).
+_MEMO_BYTES = 8 * 2**20
+
+_memo: Memo[EventStream] = Memo(_MEMO_BYTES)
 
 
 def cache_enabled() -> bool:
@@ -179,7 +201,8 @@ def get_or_extract(
     trace_factory: Callable[[], Sequence[Instruction]],
     profile_factory: Callable[[], "object"] | None = None,
 ) -> EventStream:
-    """The main entry point: disk hit, or extract + persist.
+    """The one phase-1 entry point: memo hit, disk hit, or extract +
+    persist.
 
     ``trace_factory`` is only invoked on a miss, so warm runs skip trace
     generation entirely (a significant cost for the loop-nest traces).
@@ -191,13 +214,46 @@ def get_or_extract(
     ``build_profile(trace_factory())`` and is ignored on the stepping
     fallback paths.
     """
-    cached = load(trace_fingerprint, config)
-    if cached is not None:
+    key = entry_key(trace_fingerprint, config)
+    caching = cache_enabled()
+    if caching:
+        events = _memo.get(key)
+        if events is not None:
+            metrics.inc("phase1.memo.hit")
+            return events
+    metrics.inc("phase1.memo.miss")
+    events = load(trace_fingerprint, config)
+    if events is not None:
         log.debug("events_store: hit %s", trace_fingerprint)
-        return cached
-    events = _extract(trace_fingerprint, config, trace_factory, profile_factory)
-    save(trace_fingerprint, config, events)
+    else:
+        events = _extract(
+            trace_fingerprint, config, trace_factory, profile_factory
+        )
+        save(trace_fingerprint, config, events)
+    if caching:
+        _memo.put(key, events)
     return events
+
+
+def trace_events(trace: Mapping[str, Any], config: CacheConfig) -> EventStream:
+    """Phase 1 for a described trace (:func:`repro.trace.recipe.trace_recipe`).
+
+    :func:`get_or_extract` with the recipe's fingerprint and
+    instructions; a cold LRU geometry profiles the recipe's reference
+    arrays instead of materializing the trace.
+    """
+    recipe = trace_recipe(trace)
+    return get_or_extract(
+        recipe.fingerprint,
+        config,
+        recipe.instructions,
+        profile_factory=lambda: ReuseProfile(*recipe.arrays()),
+    )
+
+
+def clear_memory() -> None:
+    """Drop the in-process stream memo (not the disk store)."""
+    _memo.clear()
 
 
 def _extract(

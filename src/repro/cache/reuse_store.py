@@ -16,10 +16,10 @@ and wiping one cold-start wipes the other.  Persistence obeys the same
 A small in-process memo keeps the most recent profiles (with their
 lazily built line/set views) alive across the many ``get_or_extract``
 calls of one sweep, so the expensive stack-distance arithmetic is
-shared, not just the reference arrays.  The memo is bounded by the bytes
-its profiles hold (:data:`_MEMO_BYTES`), except for the profile being
-looked up: a large profile (a loop nest's) stays only until another
-trace is looked up.
+shared, not just the reference arrays.  It follows the events store's
+memo rule (:class:`repro.util.blobstore.Memo`): bounded by the bytes
+its profiles hold, except for the profile being looked up, so a large
+profile (a loop nest's) stays only until another trace is looked up.
 
 Determinism note: like the events store, normal hit/miss paths record
 no metrics counters.  The one exception is the diagnostic-only
@@ -45,7 +45,7 @@ from repro.cache.reuse import (
 )
 from repro.obs import tracing
 from repro.trace.record import Instruction
-from repro.util.blobstore import BlobStore
+from repro.util.blobstore import BlobStore, Memo
 
 log = logging.getLogger("repro.reuse_store")
 
@@ -59,7 +59,7 @@ PROFILE_STORE_VERSION = 2
 #: own trace is being looked up.
 _MEMO_BYTES = 24 * 2**20
 
-_memo: dict[str, ReuseProfile] = {}
+_memo: Memo[ReuseProfile] = Memo(_MEMO_BYTES)
 
 
 def store() -> BlobStore:
@@ -148,7 +148,6 @@ def get_or_build(
     """
     caching = events_store.cache_enabled()
     if caching:
-        _trim_memo(keep=trace_fingerprint)
         profile = _memo.get(trace_fingerprint)
         if profile is not None:
             return profile
@@ -160,26 +159,8 @@ def get_or_build(
             profile = build_profile(trace_factory())
         save(trace_fingerprint, profile)
     if caching:
-        _memo[trace_fingerprint] = profile
-        _trim_memo(keep=trace_fingerprint)
+        _memo.put(trace_fingerprint, profile)
     return profile
-
-
-def _trim_memo(keep: str) -> None:
-    """Fit the memo into :data:`_MEMO_BYTES`, measured now (profiles
-    grow as their views are built), but keep the profile of ``keep``,
-    the trace being looked up, whatever its size: a geometry fan over a
-    large profile loads it once, and at most that one profile over the
-    budget stays resident.  The others go over-budget ones first, then
-    the oldest."""
-    sizes = {key: profile.nbytes for key, profile in list(_memo.items())}
-    total = sum(sizes.values())
-    for key in sorted(sizes, key=lambda key: sizes[key] <= _MEMO_BYTES):
-        if total <= _MEMO_BYTES:
-            break
-        if key != keep:
-            _memo.pop(key, None)
-            total -= sizes[key]
 
 
 def clear_memory() -> None:

@@ -19,16 +19,10 @@ from __future__ import annotations
 
 from repro.cache import events_store
 from repro.cache.cache import CacheConfig
-from repro.cache.reuse import ReuseProfile
 from repro.core.bus_width import doubling_tradeoff
 from repro.core.params import SystemConfig
 from repro.core.pipelined import pipelined_tradeoff
 from repro.experiments.base import ExperimentResult
-from repro.trace.loops import (
-    matmul_fingerprint,
-    square_matmul_profile_arrays,
-    square_matmul_trace,
-)
 from repro.util.tables import format_table
 
 CACHE = CacheConfig(8192, 32, 2)
@@ -40,20 +34,21 @@ TILES = (None, 4, 8, 16)
 
 def _hit_ratio(n: int, tile: int | None) -> float:
     # The functional pass already counts hits; routing it through the
-    # on-disk store means warm runs skip trace generation and cache
+    # events store means warm runs skip trace generation and cache
     # stepping (the dominant cost of this experiment) entirely.  The
     # matmul reference stream is analytically known, so cold runs hand
-    # the reuse engine its profile arrays directly instead of
+    # the reuse engine its reference arrays directly instead of
     # materializing ~800k Instruction objects and re-looping over them.
-    events = events_store.get_or_extract(
-        matmul_fingerprint(n, tile),
-        CACHE,
-        lambda: square_matmul_trace(n, tile=tile),
-        profile_factory=lambda: ReuseProfile(
-            *square_matmul_profile_arrays(n, tile)
-        ),
-    )
-    return events.stats.hit_ratio
+    # The trace is the service's default matmul (8-byte elements, two
+    # ALU operations per reference): the same events-store entry.
+    trace = {
+        "kind": "matmul",
+        "n": n,
+        "tile": tile,
+        "element_size": 8,
+        "alu_per_reference": 2,
+    }
+    return events_store.trace_events(trace, CACHE).stats.hit_ratio
 
 
 def run(quick: bool = False) -> ExperimentResult:

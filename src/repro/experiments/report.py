@@ -3,22 +3,20 @@
 Runs every paper experiment, checks every :mod:`repro.experiments.claims`
 claim, and renders a single markdown report — the "did the reproduction
 hold" artifact a reviewer reads first.  Wired into the runner as
-``--report`` (which forwards ``--jobs`` so the experiment runs fan out
-across worker processes; claims are evaluated in the parent either way,
-so the scorecard is identical for any job count).
+``--report``; the experiments run through the runner's own fan-out
+(:func:`repro.experiments.runner.run_experiments`, over ``--jobs``
+worker processes), and claims are evaluated in the parent either way,
+so the scorecard is identical for any job count.
 """
 
 from __future__ import annotations
 
-import logging
 import time
 from pathlib import Path
 
 from repro.experiments.claims import ClaimOutcome, evaluate_claims
-from repro.experiments.registry import EXPERIMENTS, run_experiment
-from repro.obs import tracing
-
-logger = logging.getLogger(__name__)
+from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.runner import run_experiments
 
 #: Experiments the claims need (the paper artifacts, not the ablations).
 PAPER_EXPERIMENT_IDS = (
@@ -34,13 +32,6 @@ PAPER_EXPERIMENT_IDS = (
 )
 
 
-def _timed_run(experiment_id: str, quick: bool):
-    """Worker: one experiment plus its wall time (pickles for the pool)."""
-    t0 = time.perf_counter()
-    result = run_experiment(experiment_id, quick=quick)
-    return result, time.perf_counter() - t0
-
-
 def build_report(
     quick: bool = True, include_ablations: bool = False, jobs: int = 1
 ) -> str:
@@ -54,30 +45,12 @@ def build_report(
     ids = list(PAPER_EXPERIMENT_IDS)
     if include_ablations:
         ids += [i for i in EXPERIMENTS if i not in PAPER_EXPERIMENT_IDS]
-    results = {}
-    timings = {}
-    if jobs > 1 and len(ids) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        logger.info("report: running %d experiments on %d workers", len(ids), jobs)
-        with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
-            futures = {
-                experiment_id: pool.submit(_timed_run, experiment_id, quick)
-                for experiment_id in ids
-            }
-            for experiment_id in ids:
-                results[experiment_id], timings[experiment_id] = futures[
-                    experiment_id
-                ].result()
-    else:
-        for experiment_id in ids:
-            with tracing.span("report.run", experiment=experiment_id):
-                results[experiment_id], timings[experiment_id] = _timed_run(
-                    experiment_id, quick
-                )
-    outcomes = evaluate_claims(results)
+    outcomes = run_experiments(ids, quick, jobs)
+    results = {i: outcome[0] for i, outcome in zip(ids, outcomes)}
+    timings = {i: outcome[1] for i, outcome in zip(ids, outcomes)}
+    claims = evaluate_claims(results)
     elapsed = time.perf_counter() - started
-    return _render(outcomes, results, timings, elapsed, quick)
+    return _render(claims, results, timings, elapsed, quick)
 
 
 def _render(

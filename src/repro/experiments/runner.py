@@ -9,11 +9,10 @@ Examples::
         --trace trace.json --metrics metrics.json -v
 
 ``--jobs N`` fans independent experiments out over N worker processes
-(and, when a single experiment is requested, parallelizes its phase-1
-functional cache passes instead).  Every experiment is deterministic, so
-results — including ``--out`` files — are byte-identical for any job
-count; only wall-clock changes.  Results print in request order either
-way.
+(``--report`` runs its experiments the same way; a single experiment
+runs in process).  Every experiment is deterministic, so results —
+including ``--out`` files — are byte-identical for any job count; only
+wall-clock changes.  Results print in request order either way.
 
 Observability (see ``docs/OBSERVABILITY.md``):
 
@@ -183,7 +182,7 @@ def _run_one(
 
     Top-level so it pickles for :class:`ProcessPoolExecutor`.  Collection
     is scoped per experiment: a fresh metrics registry is installed and
-    the φ memo caches are cleared first (and the heap they held handed
+    the phase-1 memos are cleared first (and the heap they held handed
     back), so the snapshot describes a cold start regardless of process
     reuse — sequential and worker runs produce identical snapshots.
     ``worker`` marks a pool-process call: a fresh local tracer is
@@ -202,7 +201,7 @@ def _run_one(
     if with_metrics:
         registry = metrics.enable_metrics()
     if with_metrics or with_tracing:
-        # Cold-start the φ memo caches so the collected spans/counters
+        # Cold-start the phase-1 memos so the collected spans/counters
         # describe this experiment completely and independently of what
         # ran earlier in the process (or of the job count).
         from repro.experiments._phi import clear_caches
@@ -230,6 +229,49 @@ def _run_one(
         events = local_tracer.events
         tracing.disable_tracing()
     return result, elapsed, snapshot, events, profile_document
+
+
+def run_experiments(
+    ids: Sequence[str],
+    quick: bool,
+    jobs: int = 1,
+    with_tracing: bool = False,
+    with_metrics: bool = False,
+    profile_hz: int | None = None,
+) -> list:
+    """:func:`_run_one` outcomes for ``ids``, in request order.
+
+    With ``jobs > 1`` and more than one id, whole experiments fan out
+    across worker processes; futures are consumed in request order, so
+    stdout, ``--out`` files and merged metrics match a sequential run.
+    """
+    if jobs > 1 and len(ids) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
+            futures = [
+                pool.submit(
+                    _run_one,
+                    experiment_id,
+                    quick,
+                    with_tracing,
+                    with_metrics,
+                    True,
+                    profile_hz,
+                )
+                for experiment_id in ids
+            ]
+            return [future.result() for future in futures]
+    return [
+        _run_one(
+            experiment_id,
+            quick,
+            with_tracing,
+            with_metrics,
+            profile_hz=profile_hz,
+        )
+        for experiment_id in ids
+    ]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -269,7 +311,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     # Collection plan: tracing follows --trace; metrics are needed for a
     # --metrics file and for the manifest every --out run writes.  While
-    # metrics are on, each experiment starts from cleared φ memo caches
+    # metrics are on, each experiment starts from cleared phase-1 memos
     # so its counts are complete and job-count independent.
     with_tracing = bool(args.trace)
     with_metrics = bool(args.metrics or args.out)
@@ -284,57 +326,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         with_metrics,
     )
 
-    if args.jobs > 1 and len(ids) > 1:
-        # Fan whole experiments out across processes; consume futures in
-        # request order so stdout, --out files and merged metrics match a
-        # sequential run.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(ids))) as pool:
-            futures = [
-                pool.submit(
-                    _run_one,
-                    experiment_id,
-                    args.quick,
-                    with_tracing,
-                    with_metrics,
-                    True,
-                    args.profile,
+    outcomes = run_experiments(
+        ids, args.quick, args.jobs, with_tracing, with_metrics, args.profile
+    )
+    if tracer is not None:
+        for worker_tid, (experiment_id, outcome) in enumerate(
+            zip(ids, outcomes), start=1
+        ):
+            events = outcome[3]
+            if events:
+                tracer.adopt(
+                    events, tid=worker_tid, name=f"worker:{experiment_id}"
                 )
-                for experiment_id in ids
-            ]
-            outcomes = [future.result() for future in futures]
-        if tracer is not None:
-            for worker_tid, (experiment_id, outcome) in enumerate(
-                zip(ids, outcomes), start=1
-            ):
-                events = outcome[3]
-                if events:
-                    tracer.adopt(
-                        events, tid=worker_tid, name=f"worker:{experiment_id}"
-                    )
-    else:
-        if args.jobs > 1:
-            # One experiment: parallelize inside it (phase-1 extraction).
-            from repro.experiments._phi import set_phase1_jobs
-
-            set_phase1_jobs(args.jobs)
-        try:
-            outcomes = [
-                _run_one(
-                    experiment_id,
-                    args.quick,
-                    with_tracing,
-                    with_metrics,
-                    profile_hz=args.profile,
-                )
-                for experiment_id in ids
-            ]
-        finally:
-            if args.jobs > 1:
-                from repro.experiments._phi import set_phase1_jobs
-
-                set_phase1_jobs(1)
 
     status = 0
     for experiment_id, (result, elapsed, snapshot, _events, profile_doc) in zip(

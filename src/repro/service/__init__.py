@@ -11,7 +11,7 @@ consistent-hash router (:mod:`repro.service.router`).  See
 load-generator workflow.
 """
 
-from repro.service.batching import EventsMemo, MicroBatcher, QueueFullError
+from repro.service.batching import MicroBatcher, QueueFullError
 from repro.service.client import (
     BUSY_STATUSES,
     ServiceClient,
@@ -43,7 +43,6 @@ from repro.service.shard import HashRing, ring_hash, worker_names
 __all__ = [
     "BUSY_STATUSES",
     "DiskResultCache",
-    "EventsMemo",
     "Fleet",
     "FleetConfig",
     "FleetThread",

@@ -9,17 +9,17 @@ whatever queued while the previous batch computed, so coalescing grows
 with load instead of being paid for in idle time.
 
 The scheduler groups each batch by (trace, geometry) content key; the
-worker resolves phase 1 (event-stream extraction / store lookup / memo
-hit) **once per group**, then runs the cheap per-request phase-2 replay
-for every member.  A small LRU memo of resolved
-:class:`~repro.cache.events.EventStream` objects carries keys across
-batches: a key resolved in one batch is a memo hit in the next, so
-however arrivals split into batches, phase 1 runs once per key the memo
-holds.  Sixteen clients sweeping ``beta_m`` over a shared trace
-therefore pay for one functional pass, not sixteen.  The load generator
-reports the batch-coalescing ratio (``service.batch.requests /
-service.batch.groups``) and CI still requires it above 1 at 16 clients
-(``validate_bench_service``).
+worker resolves phase 1 **once per group**, then runs the cheap
+per-request phase-2 replay for every member.  Phase 1 goes through the
+events store (:func:`repro.cache.events_store.get_or_extract`), whose
+in-process memo carries keys across batches: a key resolved in one
+batch is a memo hit in the next, so however arrivals split into
+batches, phase 1 runs once per key the memo holds
+(``phase1.memo.{hit,miss}``).  Sixteen clients sweeping ``beta_m`` over
+a shared trace therefore pay for one functional pass, not sixteen.  The
+load generator reports the batch-coalescing ratio
+(``service.batch.requests / service.batch.groups``) and CI still
+requires it above 1 at 16 clients (``validate_bench_service``).
 
 Groups are additionally ordered by the *trace-alone* key
 (:func:`repro.service.queries.trace_key_of`): service geometries are
@@ -43,10 +43,6 @@ Robustness contract:
   is skipped, not raced;
 * :meth:`MicroBatcher.drain` lets in-flight and queued work finish,
   then stops the scheduler — the SIGTERM path.
-
-The events memo is counted (``service.events_memo.{hit,miss}``) and
-bounded by entry count — event streams for the service's capped trace
-sizes are a few hundred KiB.
 """
 
 from __future__ import annotations
@@ -63,10 +59,6 @@ from repro.obs import tracing
 from repro.obs.live import current_request_id, request_context
 from repro.obs.metrics import MetricsRegistry
 from repro.service import queries
-
-
-#: Resolved event streams the batch thread keeps for reuse across batches.
-EVENTS_MEMO_ENTRIES = 8
 
 
 class QueueFullError(Exception):
@@ -88,28 +80,6 @@ class _Pending:
     trace_context: tuple[str, str] | None = None
 
 
-class EventsMemo:
-    """Count-bounded LRU of resolved event streams (worker-thread only)."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._entries: OrderedDict[str, EventStream] = OrderedDict()
-
-    def get(self, key: str) -> EventStream | None:
-        events = self._entries.get(key)
-        if events is not None:
-            self._entries.move_to_end(key)
-        return events
-
-    def put(self, key: str, events: EventStream) -> None:
-        self._entries[key] = events
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-
 class MicroBatcher:
     """Coalesces concurrent simulate requests by (trace, geometry) key."""
 
@@ -126,7 +96,6 @@ class MicroBatcher:
         self.max_pending = max_pending
         self._resolve_events = resolve_events
         self._compute = compute
-        self._memo = EventsMemo(EVENTS_MEMO_ENTRIES)
         self._queue: list[_Pending] = []
         self._pending = 0  # queued + computing, for backpressure
         self._wakeup = asyncio.Event()
@@ -266,24 +235,17 @@ class MicroBatcher:
             if not live:
                 continue
             key = live[0].key
-            events = self._memo.get(key)
-            if events is None:
-                self._registry.inc("service.events_memo.miss")
-                try:
-                    with tracing.span(
-                        "service.phase1",
-                        key=key[:12],
-                        request_ids=[e.request_id for e in live if e.request_id],
-                    ):
-                        events = self._resolve_events(live[0].params)
-                except Exception as error:  # noqa: BLE001 - reported per request
-                    for entry in live:
-                        outcomes.append((entry, False, error))
-                    continue
-                self._registry.inc("service.phase1.resolves")
-                self._memo.put(key, events)
-            else:
-                self._registry.inc("service.events_memo.hit")
+            try:
+                with tracing.span(
+                    "service.phase1",
+                    key=key[:12],
+                    request_ids=[e.request_id for e in live if e.request_id],
+                ):
+                    events = self._resolve_events(live[0].params)
+            except Exception as error:  # noqa: BLE001 - reported per request
+                for entry in live:
+                    outcomes.append((entry, False, error))
+                continue
             for entry in live:
                 if entry.future.done():
                     self._registry.inc("service.batch.abandoned")

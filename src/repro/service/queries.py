@@ -9,8 +9,9 @@ micro-batch scheduler can share its expensive half:
 
 * :func:`trace_fingerprint_of` / :func:`events_key_of` — the
   (trace, geometry) identity a batch group coalesces on;
-* :func:`resolve_events` — phase 1: one functional extraction (or
-  events-store / memo hit) per group;
+* :func:`resolve_events` — phase 1: one lookup of the events store
+  (memo, disk, or a cold extraction from the trace's reference arrays)
+  per group;
 * :func:`simulate_from_events` — phase 2: the per-request replay, plus
   the step-simulator oracle for the configurations replay does not
   cover (multi-issue; see ``docs/ENGINE.md``).
@@ -42,8 +43,7 @@ from repro.cpu.processor import TimingResult
 from repro.cpu.replay import simulate, unsupported_reason
 from repro.memory.mainmem import MainMemory
 from repro.memory.pipelined import PipelinedMemory
-from repro.trace.loops import matmul_fingerprint, square_matmul_trace
-from repro.trace.spec92 import spec92_trace, trace_fingerprint
+from repro.trace.recipe import trace_recipe
 
 _FEATURES = {
     "doubling-bus": ArchFeature.DOUBLING_BUS,
@@ -265,16 +265,7 @@ def advise_query(params: dict[str, Any]) -> dict[str, Any]:
 
 def trace_fingerprint_of(trace: dict[str, Any]) -> str:
     """Content identity of the request's trace (spec92 or matmul)."""
-    if trace["kind"] == "spec92":
-        return trace_fingerprint(
-            trace["name"], trace["instructions"], trace["seed"]
-        )
-    return matmul_fingerprint(
-        trace["n"],
-        trace["tile"],
-        trace["element_size"],
-        trace["alu_per_reference"],
-    )
+    return trace_recipe(trace).fingerprint
 
 
 def cache_config_of(params: dict[str, Any]) -> CacheConfig:
@@ -315,26 +306,11 @@ def trace_key_of(params: dict[str, Any]) -> str:
     return trace_fingerprint_of(params["trace"])
 
 
-def _trace_factory(trace: dict[str, Any]):
-    if trace["kind"] == "spec92":
-        return lambda: spec92_trace(
-            trace["name"], trace["instructions"], seed=trace["seed"]
-        )
-    return lambda: square_matmul_trace(
-        trace["n"],
-        tile=trace["tile"],
-        element_size=trace["element_size"],
-        alu_per_reference=trace["alu_per_reference"],
-    )
-
-
 def resolve_events(params: dict[str, Any]) -> EventStream:
-    """Phase 1 for one batch group: extract (or load) the event stream."""
-    return events_store.get_or_extract(
-        trace_fingerprint_of(params["trace"]),
-        cache_config_of(params),
-        _trace_factory(params["trace"]),
-    )
+    """Phase 1 for one batch group: the event stream from the events
+    store's memo or disk, or derived from the trace's reference arrays
+    (the experiments' path, :func:`repro.cache.events_store.trace_events`)."""
+    return events_store.trace_events(params["trace"], cache_config_of(params))
 
 
 def memory_of(params: dict[str, Any]) -> MainMemory:
@@ -384,15 +360,15 @@ def simulate_from_events(
 
     Replay-covered configurations never touch the instruction stream;
     the step-simulator fallback (multi-issue only, within the service's
-    schema) re-materializes the trace, which is why the extraction
-    memo keys on (trace, geometry) rather than the full request.
+    schema) re-materializes the trace, which is why the events memo
+    keys on (trace, geometry) rather than the full request.
     """
     memory = memory_of(params)
     policy = StallPolicy(params["policy"])
     engine = engine_path_of(params)
     trace = None
     if engine == "step":
-        trace = _trace_factory(params["trace"])()
+        trace = trace_recipe(params["trace"]).instructions()
     try:
         result = simulate(
             trace if trace is not None else (),

@@ -83,6 +83,12 @@ SUPERVISE_INTERVAL_S = 0.25
 #: before answering 502.
 FORWARD_DEADLINE_S = 15.0
 
+#: How long the merged ``/v1/stats``, ``/metrics`` and debug trace wait
+#: for one worker's document: a worker that does not answer in time (a
+#: wedged or stopped process) is reported unreachable instead of
+#: stalling the merge.
+SCRAPE_TIMEOUT_S = 5.0
+
 #: Upper bound on a worker response body the router will relay (stats
 #: merges and big simulate envelopes fit comfortably).
 FORWARD_MAX_BODY_BYTES = 32 * 1024 * 1024
@@ -173,6 +179,8 @@ class WorkerHandle:
         announces its port.  Runs on a thread (``asyncio.to_thread``)."""
         import repro
 
+        if self.process is not None and self.process.stdout is not None:
+            self.process.stdout.close()  # the previous, exited process's
         src_dir = str(Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ)
         existing = env.get("PYTHONPATH")
@@ -204,6 +212,8 @@ class WorkerHandle:
                 break
         if port is None:
             self.process.kill()
+            self.process.wait(timeout=5.0)
+            self.process.stdout.close()
             raise RuntimeError(
                 f"worker {self.name} did not announce a port within "
                 f"{READY_TIMEOUT_S:g}s"
@@ -231,13 +241,16 @@ class WorkerHandle:
             writer.close()
 
     def close_pool(self) -> None:
+        """Close the pooled connections (on the loop's own thread:
+        stream writers are not thread-safe)."""
         while self._pool:
             _, _, writer = self._pool.pop()
             writer.close()
 
     def terminate(self) -> None:
-        """SIGTERM (the drain path) then SIGKILL if it lingers."""
-        self.close_pool()
+        """SIGTERM (the drain path) then SIGKILL if it lingers, and
+        close the exited process's stdout pipe.  Touches no asyncio
+        object, so it may run on a thread (close the pool first)."""
         if self.process is None:
             return
         if self.process.poll() is None:
@@ -247,6 +260,8 @@ class WorkerHandle:
             except subprocess.TimeoutExpired:
                 self.process.kill()
                 self.process.wait(timeout=5.0)
+        if self.process.stdout is not None:
+            self.process.stdout.close()
 
 
 class Fleet:
@@ -285,6 +300,10 @@ class Fleet:
                 raise outcome
 
     async def stop(self) -> None:
+        """Close every pool here, on the loop, then signal and reap the
+        workers on threads."""
+        for handle in self.workers.values():
+            handle.close_pool()
         await asyncio.gather(
             *(
                 asyncio.to_thread(handle.terminate)
@@ -345,7 +364,9 @@ class Fleet:
         triggers a restart (same ring slot) and a fresh attempt until
         :data:`FORWARD_DEADLINE_S` elapses, after which the client gets a
         502.  A request the worker *answered* — any status — is never
-        retried; only transport failures are.
+        retried; only transport failures are.  A caller's timeout
+        (``asyncio.wait_for``) cancels the exchange and closes its
+        connection, which then holds a half-read answer.
         """
         handle = self.workers[name]
         deadline = time.monotonic() + FORWARD_DEADLINE_S
@@ -364,6 +385,10 @@ class Fleet:
                     reader,
                     max_body_bytes=FORWARD_MAX_BODY_BYTES,
                 )
+            except asyncio.CancelledError:
+                if connection is not None:
+                    connection[1].close()
+                raise
             except (OSError, asyncio.IncompleteReadError):
                 if connection is not None:
                     connection[1].close()
@@ -431,6 +456,10 @@ class Fleet:
                         yield json.loads(line)
         finally:
             writer.close()
+            try:
+                await writer.wait_closed()
+            except OSError:
+                pass  # the worker already dropped the connection
 
 
 def _rekey(key: str, worker: str) -> str:
@@ -468,7 +497,9 @@ class RouterApp(ServiceApp):
         # The client's own params go on the wire, and the worker's body —
         # success envelope or error envelope — is relayed verbatim:
         # byte-identical to a single-process answer.
-        response = await self._forward_simulate(owner, params)
+        response = await self._forward_simulate(
+            owner, params, self._deadline_s_of(validated)
+        )
         return response.status, response.body
 
     async def resolve_point(self, validated: dict[str, Any]) -> dict[str, Any]:
@@ -484,7 +515,9 @@ class RouterApp(ServiceApp):
             key: value for key, value in validated.items() if value is not None
         }
         owner = self.fleet.ring.owner(queries.events_key_of(validated))
-        response = await self._forward_simulate(owner, wire)
+        response = await self._forward_simulate(
+            owner, wire, self._deadline_s_of(validated)
+        )
         envelope = json.loads(response.body)
         if response.status != 200:
             error = (
@@ -498,9 +531,15 @@ class RouterApp(ServiceApp):
         return envelope["result"]
 
     async def _forward_simulate(
-        self, owner: str, params: Any
+        self, owner: str, params: Any, deadline_s: float
     ) -> http11.Response:
-        """POST one simulate to its owner, traced, counted and timed."""
+        """POST one simulate to its owner, traced, counted and timed.
+
+        The request's deadline bounds the whole forward, as it bounds
+        the batcher in one process: a worker that does not answer in
+        time (wedged, or stopped) makes it a 504 ``deadline_exceeded``
+        (``asyncio.TimeoutError``), not a stalled router.
+        """
         headers = {}
         request_id = live.current_request_id()
         if request_id:
@@ -514,12 +553,15 @@ class RouterApp(ServiceApp):
             traceparent = live.current_traceparent()
             if traceparent is not None:
                 headers[live.TRACEPARENT_HEADER] = traceparent
-            response = await self.fleet.forward(
-                owner,
-                "POST",
-                "/v1/simulate",
-                body=json.dumps({"params": params}).encode("utf-8"),
-                headers=headers,
+            response = await asyncio.wait_for(
+                self.fleet.forward(
+                    owner,
+                    "POST",
+                    "/v1/simulate",
+                    body=json.dumps({"params": params}).encode("utf-8"),
+                    headers=headers,
+                ),
+                timeout=deadline_s,
             )
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         self.registry.inc(
@@ -690,11 +732,14 @@ class RouterApp(ServiceApp):
 
         async def fetch(name: str) -> dict[str, Any] | None:
             try:
-                response = await self.fleet.forward(name, "GET", path)
+                response = await asyncio.wait_for(
+                    self.fleet.forward(name, "GET", path),
+                    timeout=SCRAPE_TIMEOUT_S,
+                )
                 if response.status != 200:
                     return None
                 return json.loads(response.body)
-            except (HttpError, ValueError):
+            except (HttpError, ValueError, asyncio.TimeoutError):
                 return None
 
         names = self.fleet.names

@@ -17,7 +17,7 @@ events-store hits) uses module-global counters, so sharing the registry
 is what lets ``GET /v1/stats`` report engine dispatch alongside queue
 depth and cache hit ratios in one snapshot.  Counter keys are
 partitioned by thread — ``service.batch.*``/``service.queue.*`` from
-the event loop, ``service.phase1.*``/``engine.*`` from the single batch
+the event loop, ``phase1.memo.*``/``engine.*`` from the single batch
 worker — so the shared registry needs no lock.
 
 :class:`ServerThread` runs the whole loop on a daemon thread for tests

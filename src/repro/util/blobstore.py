@@ -24,7 +24,9 @@ renames over a path:
   counter, and a miss, so the caller recomputes;
 * :meth:`BlobStore.entries`, :func:`plan_evictions` and
   :meth:`BlobStore.evict` bound a store by bytes, oldest sidecar mtime
-  first (every hit refreshes it).
+  first (every hit refreshes it);
+* :class:`Memo` is the in-process tier a store keeps in front of its
+  directory, bounded by the bytes its values hold.
 
 The module knows nothing about the environment: each store resolves its
 own directory and switches (:mod:`repro.util.storeenv`).
@@ -37,10 +39,11 @@ import json
 import logging
 import os
 import tempfile
-from collections.abc import Callable, Mapping
+import threading
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, TypeVar
+from typing import IO, Any, Generic, TypeVar
 
 from repro.obs import metrics
 from repro.util.jsonout import dump_json
@@ -146,6 +149,66 @@ def plan_evictions(
         plan.append(entry)
         total -= entry.size
     return plan
+
+
+class Memo(Generic[T]):
+    """In-process memo of loaded values, bounded by the bytes they hold.
+
+    Each value reports its size as ``nbytes``, measured at every lookup:
+    a value can grow after it is stored (views built on first use).  The
+    rule, one for every store that keeps a memo:
+
+    * :meth:`get` trims before it answers, so a value that went over
+      :attr:`budget_bytes` is gone before the caller loads or builds the
+      next one, and the two are never resident together;
+    * the key being looked up (or stored) is kept whatever its size, so
+      a run of lookups over one large value loads it once;
+    * the others go over-budget ones first, then the oldest.
+
+    Lookups may come from several threads (a server's batch thread and
+    an in-process caller), so each is taken under a lock; the caller
+    loads or builds outside it.
+    """
+
+    def __init__(self, budget_bytes: int) -> None:
+        self.budget_bytes = budget_bytes
+        self._values: dict[str, T] = {}
+        self._lock = threading.Lock()
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._values
+
+    def __iter__(self) -> Iterator[str]:
+        """Keys, oldest first."""
+        return iter(list(self._values))
+
+    def get(self, key: str) -> T | None:
+        """The value memoized under ``key``, or ``None``; trims first."""
+        with self._lock:
+            self._trim(keep=key)
+            return self._values.get(key)
+
+    def put(self, key: str, value: T) -> None:
+        """Memoize ``value`` under ``key``, then trim keeping it."""
+        with self._lock:
+            self._values[key] = value
+            self._trim(keep=key)
+
+    def clear(self) -> None:
+        """Drop every value."""
+        with self._lock:
+            self._values.clear()
+
+    def _trim(self, keep: str) -> None:
+        sizes = {key: value.nbytes for key, value in self._values.items()}
+        total = sum(sizes.values())
+        budget = self.budget_bytes
+        for key in sorted(sizes, key=lambda key: sizes[key] <= budget):
+            if total <= budget:
+                break
+            if key != keep:
+                del self._values[key]
+                total -= sizes[key]
 
 
 class BlobStore:

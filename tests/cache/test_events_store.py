@@ -161,6 +161,46 @@ class TestOptOut:
         assert events_store.cache_enabled()
 
 
+class TestMemo:
+    """The in-process memo in front of the store (the reuse store's rule,
+    :class:`repro.util.blobstore.Memo`)."""
+
+    def test_repeat_lookup_is_served_from_memory(self, monkeypatch):
+        first = get_or_extract(FP, CONFIG, lambda: spec92_trace("swm256", 1200, seed=7))
+        monkeypatch.setattr(
+            events_store, "load", lambda *_: pytest.fail("expected a memo hit")
+        )
+        again = get_or_extract(FP, CONFIG, lambda: pytest.fail("no build"))
+        assert again is first
+
+    def test_over_budget_stream_dropped_before_next_load_or_build(
+        self, monkeypatch
+    ):
+        """An over-budget stream stays while it is looked up, and is gone
+        before the next lookup loads or builds anything."""
+        first = get_or_extract(FP, CONFIG, lambda: spec92_trace("swm256", 1200, seed=7))
+        monkeypatch.setattr(events_store._memo, "budget_bytes", first.nbytes - 1)
+        kept = get_or_extract(FP, CONFIG, lambda: pytest.fail("expected a hit"))
+        assert kept is first
+        key = entry_key(FP, CONFIG)
+        resident = []
+        real_load = events_store.load
+
+        def load(trace_fingerprint, config):
+            resident.append(key in events_store._memo)
+            return real_load(trace_fingerprint, config)
+
+        def trace():
+            resident.append(key in events_store._memo)
+            return spec92_trace("ear", 300, seed=7)
+
+        monkeypatch.setattr(events_store, "load", load)
+        other = trace_fingerprint("ear", 300, seed=7)
+        get_or_extract(other, CONFIG, trace)
+        assert resident == [False, False]
+        assert list(events_store._memo) == [entry_key(other, CONFIG)]
+
+
 class TestCorruption:
     def test_garbage_sidecar_falls_back(self, tmp_path):
         save(FP, CONFIG, _fresh_events())

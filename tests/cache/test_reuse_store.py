@@ -120,7 +120,7 @@ class TestGetOrBuild:
         tiny = lambda: _trace()[:64]  # noqa: E731
         size = get_or_build(f"{FP}/bound/probe", tiny).nbytes
         assert size > 0
-        monkeypatch.setattr(reuse_store, "_MEMO_BYTES", 3 * size)
+        monkeypatch.setattr(reuse_store._memo, "budget_bytes", 3 * size)
         keys = [f"{FP}/bound/{i}" for i in range(5)]
         for key in keys:
             get_or_build(key, tiny)
@@ -130,7 +130,7 @@ class TestGetOrBuild:
         """An over-budget profile stays only until another trace is
         looked up."""
         profile = _fresh_profile()
-        monkeypatch.setattr(reuse_store, "_MEMO_BYTES", profile.nbytes - 1)
+        monkeypatch.setattr(reuse_store._memo, "budget_bytes", profile.nbytes - 1)
         built = get_or_build(FP, _trace, profile_factory=lambda: profile)
         assert built is profile
         hit = get_or_build(FP, lambda: pytest.fail("expected a memo hit"))
@@ -145,7 +145,7 @@ class TestGetOrBuild:
     def test_profile_grown_over_budget_dropped_at_next_use(self, monkeypatch):
         """Views built after a profile joined the memo count too."""
         profile = get_or_build(FP, _trace)
-        monkeypatch.setattr(reuse_store, "_MEMO_BYTES", profile.nbytes + 1)
+        monkeypatch.setattr(reuse_store._memo, "budget_bytes", profile.nbytes + 1)
         derive_events(profile, CacheConfig(8192, 32, 2))  # builds its views
         small = f"{FP}/small"
         get_or_build(small, lambda: [_trace()[0]])
@@ -173,7 +173,7 @@ class TestGetOrBuild:
     def test_geometry_fan_over_large_profile_loads_it_once(self, monkeypatch):
         """The profile being looked up stays whatever its size."""
         save(FP, _fresh_profile())
-        monkeypatch.setattr(reuse_store, "_MEMO_BYTES", 1)
+        monkeypatch.setattr(reuse_store._memo, "budget_bytes", 1)
         loads = []
         real_load = reuse_store.load
 

@@ -10,6 +10,7 @@ import shutil
 
 import pytest
 
+from repro.cache import events_store
 from repro.campaign.executor import run_campaign
 from repro.campaign.registry import CampaignRegistry
 from repro.obs import metrics
@@ -101,6 +102,36 @@ class TestZeroRework:
             if key.startswith("engine.phase1.dispatches")
         ]
         assert dispatches == []
+
+
+class TestOneLoadPerStream:
+    def test_each_trace_and_geometry_is_loaded_once(self, tmp_path, monkeypatch):
+        """The events store's memo serves every policy x beta point of a
+        (trace, geometry) after its first: one store load per stream."""
+        doc = {
+            "name": "one-load",
+            "traces": [
+                {"kind": "spec92", "name": "ear", "instructions": 600},
+                {"kind": "spec92", "name": "swm256", "instructions": 600},
+            ],
+            "caches": [
+                {"total_bytes": 1 << n, "line_size": 32} for n in (11, 12, 13)
+            ],
+            "policies": ["FS", "BNL3"],
+            "memory_cycles": [4.0, 8.0, 16.0],
+        }  # 36 points over 6 (trace, geometry) streams
+        loads = []
+        real_load = events_store.load
+
+        def counted_load(trace_fingerprint, config):
+            loads.append((trace_fingerprint, config))
+            return real_load(trace_fingerprint, config)
+
+        monkeypatch.setattr(events_store, "load", counted_load)
+        campaign, _ = CampaignRegistry(tmp_path).submit(doc)
+        report = run_campaign(campaign)
+        assert report["simulated"] == 36
+        assert len(loads) == len(set(loads)) == 6
 
 
 class TestErrors:

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.cache import events_store, reuse_store
 from repro.cache.cache import CacheConfig
 from repro.cache.events_store import EVENTS_CACHE_DIR_ENV
 from repro.campaign.registry import CAMPAIGN_DIR_ENV
@@ -30,6 +31,18 @@ def _isolated_events_cache(tmp_path_factory):
         os.environ.pop(EVENTS_CACHE_DIR_ENV, None)
     else:
         os.environ[EVENTS_CACHE_DIR_ENV] = previous
+
+
+@pytest.fixture(autouse=True)
+def _cold_phase1_memos():
+    """Start every test with empty in-process phase-1 memos.
+
+    The event-stream and reuse-profile memos are process-global, so a
+    stream one test memoized would turn the next test's extraction (or
+    a server's first resolve) into a silent hit.
+    """
+    events_store.clear_memory()
+    reuse_store.clear_memory()
 
 
 @pytest.fixture(autouse=True, scope="session")

@@ -7,7 +7,6 @@ from repro.experiments._phi import (
     floor_phi_to_table2,
     measured_phi_map,
     measured_phi_percentages,
-    set_phase1_jobs,
     spec92_event_streams,
 )
 
@@ -34,6 +33,25 @@ class TestPhiFloor:
 
 
 class TestPhase1Memoization:
+    def test_figure1_streams_stay_resident(self, monkeypatch):
+        """Figure 1's six full-length streams, fill windows built, fit
+        the events memo: its other policies load nothing again."""
+        from repro.cache import events_store
+        from repro.cpu.replay import replay_fs_sweep
+        from repro.experiments._phi import FULL_INSTRUCTIONS
+
+        streams = spec92_event_streams(FULL_INSTRUCTIONS, 8192, 32, 2)
+        for events in streams.values():
+            replay_fs_sweep(events, (4.0, 8.0), 4, StallPolicy.BUS_LOCKED)
+        assert sum(e.nbytes for e in streams.values()) <= (
+            events_store._memo.budget_bytes
+        )
+        monkeypatch.setattr(
+            events_store, "load", lambda *_: pytest.fail("expected memo hits")
+        )
+        again = spec92_event_streams(FULL_INSTRUCTIONS, 8192, 32, 2)
+        assert all(again[name] is streams[name] for name in streams)
+
     def test_event_streams_cover_all_programs(self):
         streams = spec92_event_streams(2000, 8192, 32, 2)
         assert sorted(streams) == [
@@ -68,43 +86,24 @@ class TestPhase1Memoization:
         for fs, nb in zip(via_replay, via_oracle[StallPolicy.NON_BLOCKING]):
             assert nb < fs
 
-    def test_set_phase1_jobs_validates(self):
-        with pytest.raises(ValueError, match="jobs"):
-            set_phase1_jobs(0)
+    def test_configuration_outside_replay_raises(self):
+        """No oracle fallback: a bus wider than the line is refused, as
+        ``replay()`` refuses it."""
+        with pytest.raises(ValueError, match="replay"):
+            measured_phi_percentages(
+                StallPolicy.FULL_STALL, 32, 8192, 2, (8.0,), 64, 2000
+            )
 
 
 class TestPhiPointMemo:
-    """Regression: the phi memo must hit across *overlapping* grids.
-
-    The memo used to key on the whole ``betas`` tuple, so the Figure 1
-    grid and the unified-tradeoff grid never shared entries even where
-    they requested identical points — BENCH_engine.json showed
-    ``phi.phi_memo.miss: 8`` with zero hits.  Keying per point fixes
-    that; this test locks the behavior in.
-    """
+    """φ points do not depend on how a caller groups them into grids:
+    each point is computed with the identical float operations in the
+    identical order whichever grid requests it."""
 
     def _measure(self, betas):
         return measured_phi_percentages(
             StallPolicy.BUS_NOT_LOCKED_1, 32, 8192, 2, betas, 4, 2000
         )
-
-    def test_overlapping_grids_share_points(self):
-        from repro.experiments._phi import clear_caches
-        from repro.obs import metrics
-
-        clear_caches()
-        registry = metrics.enable_metrics()
-        try:
-            first = self._measure((4.0, 8.0, 16.0))
-            second = self._measure((8.0, 16.0, 24.0))
-        finally:
-            metrics.disable_metrics()
-        counters = registry.snapshot()["counters"]
-        assert counters["phi.phi_memo.miss"] == 4  # 3 cold + 1 new point
-        assert counters["phi.phi_memo.hit"] == 2  # 8.0 and 16.0 reused
-        # Shared points are literally the same memoized value.
-        assert second[0] == first[1]
-        assert second[1] == first[2]
 
     def test_values_independent_of_request_grouping(self):
         from repro.experiments._phi import clear_caches

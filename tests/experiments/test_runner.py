@@ -74,12 +74,15 @@ class TestJobs:
             else:
                 assert par_bytes == seq_bytes
 
-    def test_single_experiment_jobs(self, capsys):
-        """--jobs with one id routes to phase-1 parallelism and resets it."""
-        from repro.experiments import _phi
+    def test_single_experiment_jobs(self, capsys, monkeypatch):
+        """--jobs with one id runs that experiment in process."""
+        import concurrent.futures
 
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one experiment must not start a pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert main(["figure1", "--quick", "--jobs", "2"]) == 0
-        assert _phi._PHASE1_JOBS == 1
         out = capsys.readouterr().out
         assert "figure1 finished" in out
 

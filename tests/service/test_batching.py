@@ -5,8 +5,12 @@ import threading
 
 import pytest
 
+from repro.cache import events_store
+from repro.cache.cache import CacheConfig
+from repro.obs import metrics
 from repro.obs.metrics import MetricsRegistry
-from repro.service.batching import EventsMemo, MicroBatcher, QueueFullError
+from repro.service.batching import MicroBatcher, QueueFullError
+from repro.trace.spec92 import spec92_trace
 from tests.service.conftest import Phase1Gate
 
 
@@ -73,7 +77,6 @@ class TestCoalescing:
         assert recorder.resolved == ["shared"]  # phase 1 exactly once
         assert len(recorder.computed) == 8  # phase 2 per request
         counters = registry.snapshot()["counters"]
-        assert counters["service.phase1.resolves"] == 1
         assert counters["service.batch.requests"] == 8
         assert counters["service.batch.groups"] == 1
         assert counters["service.batch.coalesced"] == 7
@@ -96,22 +99,42 @@ class TestCoalescing:
         counters = registry.snapshot()["counters"]
         assert counters["service.batch.groups"] == 2
 
-    def test_memo_carries_across_batches(self):
+    def test_memo_carries_across_batches(self, tmp_path, monkeypatch):
+        """The events store's memo carries a key from one batch to the
+        next: the second batch resolves the group without extracting."""
+        monkeypatch.setenv(events_store.EVENTS_CACHE_DIR_ENV, str(tmp_path))
         recorder = Recorder()
+        extractions = []
+
+        def trace():
+            extractions.append(1)
+            return spec92_trace("ear", 500, seed=7)
+
+        def resolve(params):
+            recorder.resolve(params)
+            events = events_store.get_or_extract(
+                "test/batching/hot", CacheConfig(1024, 32, 2), trace
+            )
+            assert events.n_instructions == 500
+            return f"events:{params['key']}"
 
         async def run():
-            batcher, registry = make_batcher(recorder)
+            batcher, _ = make_batcher(recorder, resolve_events=resolve)
             batcher.start()
             await batcher.submit({"key": "hot", "value": 1})
             await batcher.submit({"key": "hot", "value": 2})
             await batcher.drain()
-            return registry
 
-        registry = asyncio.run(run())
-        assert recorder.resolved == ["hot"]  # second batch hit the memo
-        counters = registry.snapshot()["counters"]
-        assert counters["service.events_memo.hit"] == 1
-        assert counters["service.events_memo.miss"] == 1
+        collected = metrics.enable_metrics()
+        try:
+            asyncio.run(run())
+        finally:
+            metrics.disable_metrics()
+        assert recorder.resolved == ["hot", "hot"]  # one group per batch
+        assert len(extractions) == 1
+        counters = collected.snapshot()["counters"]
+        assert counters["phase1.memo.miss"] == 1
+        assert counters["phase1.memo.hit"] == 1
 
 
 class TestWorkConserving:
@@ -168,12 +191,10 @@ class TestWorkConserving:
 
         results, registry = asyncio.run(run())
         assert [r["value"] for r in results] == [0, 1, 2, 3]
-        assert recorder.resolved == ["k"]
+        assert recorder.resolved == ["k", "k"]  # one group per batch
         counters = registry.snapshot()["counters"]
         assert counters["service.batch.batches"] == 2
         assert counters["service.batch.coalesced"] == 2
-        assert counters["service.phase1.resolves"] == 1
-        assert counters["service.events_memo.hit"] == 1
 
 
 class TestTraceCoalescing:
@@ -286,8 +307,6 @@ class TestBackpressure:
     def test_invalid_limits_rejected(self):
         with pytest.raises(ValueError):
             MicroBatcher(MetricsRegistry(), max_pending=0)
-        with pytest.raises(ValueError):
-            EventsMemo(0)
 
 
 class TestFailurePaths:
@@ -371,13 +390,3 @@ def batcher_depth_zero(registry):
     histogram = registry.snapshot()["histograms"]["service.queue.depth"]
     return histogram["count"] >= 1
 
-
-class TestEventsMemo:
-    def test_lru_bound(self):
-        memo = EventsMemo(2)
-        memo.put("a", 1)
-        memo.put("b", 2)
-        assert memo.get("a") == 1  # refresh
-        memo.put("c", 3)  # evicts b
-        assert memo.get("b") is None
-        assert memo.get("a") == 1 and memo.get("c") == 3

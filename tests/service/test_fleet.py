@@ -8,11 +8,14 @@ slot either way.
 
 import asyncio
 import dataclasses
+import gc
 import json
 import os
 import signal
 import socket
+import threading
 import time
+import warnings
 
 import pytest
 
@@ -30,6 +33,7 @@ from repro.service import (
     ServiceClient,
     ServiceError,
 )
+from repro.service import queries
 from repro.service import schemas as request_schemas
 from repro.service.queries import timing_result_dict
 from repro.service.router import SWEEP_RESUME_LIMIT, WorkerHandle
@@ -283,6 +287,82 @@ class TestFailedStart:
                 )
             finally:
                 asyncio.run(server.fleet.stop())
+
+
+class TestTeardown:
+    def test_stop_reaps_workers_under_asyncio_debug(self, monkeypatch):
+        """Stopping a fleet leaves no worker running and nothing
+        unclosed, with asyncio's debug checks on: they reject a stream
+        writer closed from a thread other than its loop's."""
+        monkeypatch.setenv("PYTHONASYNCIODEBUG", "1")
+        thread_errors = []
+        monkeypatch.setattr(
+            threading, "excepthook", lambda args: thread_errors.append(args)
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            handle = FleetThread(FleetConfig(workers=2)).start()
+            processes = [
+                worker.process for worker in handle.server.fleet.workers.values()
+            ]
+            try:
+                client = ServiceClient("127.0.0.1", handle.port)
+                # Pools a connection to each worker, so stop() has
+                # writers to close.
+                client.simulate(trace=TRACE, memory_cycle=8.0)
+                client.stats_envelope()
+                client.close()
+                handle.stop()
+                running = [p.pid for p in processes if p.poll() is None]
+            finally:
+                for process in processes:
+                    if process.poll() is None:
+                        process.kill()
+                        process.wait(timeout=10.0)
+            del handle, processes
+            gc.collect()
+        assert running == []
+        assert [args.exc_value for args in thread_errors] == []
+        assert [
+            str(w.message) for w in caught if issubclass(w.category, ResourceWarning)
+        ] == []
+
+
+class TestWedgedWorker:
+    def test_stopped_worker_costs_a_deadline_not_the_router(self, fleet):
+        """A SIGSTOPped worker: a simulate it owns answers 504 at the
+        request's deadline, and the merged stats report it unreachable
+        after the scrape bound while the other worker still answers."""
+        handle, _ = fleet
+        ring = handle.server.fleet.ring
+
+        def owner(trace):
+            validated = request_schemas.validate_simulate({"trace": trace})
+            return ring.owner(queries.events_key_of(validated))
+
+        trace = next(
+            t
+            for t in (
+                {**TRACE, "seed": seed} for seed in range(1000, 1100)
+            )
+            if owner(t) == "w0"
+        )
+        victim = handle.server.fleet.workers["w0"].pid
+        client = ServiceClient("127.0.0.1", handle.port, timeout=12.0)
+        os.kill(victim, signal.SIGSTOP)
+        try:
+            started = time.monotonic()
+            with pytest.raises(ServiceError) as excinfo:
+                client.simulate(trace=trace, memory_cycle=8.0, deadline_ms=500)
+            assert excinfo.value.status == 504
+            assert excinfo.value.code == "deadline_exceeded"
+            assert time.monotonic() - started < 5.0
+            workers = client.stats_envelope()["fleet"]["workers"]
+            assert workers["w0"]["reachable"] is False
+            assert workers["w1"]["reachable"] is True
+        finally:
+            os.kill(victim, signal.SIGCONT)
+            client.close()
 
 
 class TestMergedObservability:

@@ -9,17 +9,21 @@ import threading
 
 import pytest
 
+from repro.cache import reuse_store
 from repro.cache.cache import CacheConfig
+from repro.cache.events_store import EVENTS_CACHE_DIR_ENV
 from repro.core.execution import execution_breakdown
 from repro.core.params import SystemConfig, workload_from_hit_ratio
 from repro.core.stalling import StallPolicy
 from repro.cpu.replay import simulate
 from repro.memory.mainmem import MainMemory
+from repro.obs import metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.schemas import validate_service_response
 from repro.service.queries import timing_result_dict
 from repro.service import ServerConfig, ServerThread, ServiceClient, ServiceError
-from repro.trace.spec92 import spec92_trace
+from repro.trace import loops
+from repro.trace.spec92 import WorkloadProfile, spec92_trace
 from repro.util.jsonout import dump_json
 
 TRACE_PARAMS = {"kind": "spec92", "name": "ear", "instructions": 4000, "seed": 7}
@@ -123,8 +127,10 @@ class TestSimulateEndpoint:
     def test_concurrent_shared_key_coalesces(self, server):
         """16 concurrent clients over one (trace, geometry) key: phase 1
         runs at most once more, and every beta gets its own answer."""
-        handle, _, registry = server
-        before = registry.counter("service.phase1.resolves")
+        handle, _, _ = server
+        # The events memo counts into the process-global registry (the
+        # server's own when it has none of its own).
+        collected = metrics.enable_metrics()
         results: dict[float, dict] = {}
         errors: list[Exception] = []
         barrier = threading.Barrier(16)
@@ -149,16 +155,20 @@ class TestSimulateEndpoint:
 
         betas = [float(b) for b in range(2, 18)]
         threads = [threading.Thread(target=worker, args=(b,)) for b in betas]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            metrics.disable_metrics()
+        assert not any(t.is_alive() for t in threads)
         assert not errors
         assert len(results) == 16
         # Cycle counts strictly increase with the memory cycle time.
         cycles = [results[b]["cycles"] for b in betas]
         assert cycles == sorted(cycles) and len(set(cycles)) == 16
-        assert registry.counter("service.phase1.resolves") - before <= 1
+        assert collected.counter("phase1.memo.miss") == 1
 
     def test_stats_report_queue_caches_and_latency(self, server):
         _, client, _ = server
@@ -215,3 +225,46 @@ class TestByteIdenticalAnalytic:
         assert json.dumps(first, sort_keys=True) == json.dumps(
             second, sort_keys=True
         )
+
+
+class TestColdMissPath:
+    def test_cold_miss_profiles_reference_arrays(self, tmp_path, monkeypatch):
+        """A cold miss takes the experiments' phase-1 path: the reuse
+        engine profiles the trace's reference arrays, and no instruction
+        stream is materialized or profiled."""
+        monkeypatch.setenv(EVENTS_CACHE_DIR_ENV, str(tmp_path))
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            WorkloadProfile, "trace", counted("trace", WorkloadProfile.trace)
+        )
+        monkeypatch.setattr(
+            loops,
+            "matmul_instructions",
+            counted("square_matmul_trace", loops.matmul_instructions),
+        )
+        monkeypatch.setattr(
+            reuse_store,
+            "build_profile",
+            counted("build_profile", reuse_store.build_profile),
+        )
+        with ServerThread(ServerConfig(), registry=MetricsRegistry()) as handle:
+            client = ServiceClient("127.0.0.1", handle.port)
+            client.wait_ready()
+            answers = [
+                client.simulate(trace=trace, memory_cycle=8.0)
+                for trace in (
+                    {"kind": "spec92", "name": "wave5", "instructions": 3000},
+                    {"kind": "matmul", "n": 12, "tile": 4},
+                )
+            ]
+            client.close()
+        assert [answer["cached"] for answer in answers] == [False, False]
+        assert calls == []

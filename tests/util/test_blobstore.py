@@ -11,6 +11,8 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import os
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -27,7 +29,7 @@ from repro.obs import metrics
 from repro.service.disk_cache import DiskResultCache
 from repro.service.result_cache import RESULT_CACHE_VERSION
 from repro.trace.spec92 import spec92_trace, trace_fingerprint
-from repro.util.blobstore import BlobStore, atomic_write
+from repro.util.blobstore import BlobStore, Memo, atomic_write
 from repro.util.jsonout import dump_json
 from repro.util.store_gc import ORPHAN_GRACE_S, gc_store
 
@@ -297,3 +299,40 @@ class TestCampaignSidecarCompatibility:
         # And a fresh write produces exactly those sidecar bytes.
         campaign.store_artifact(key, payload)
         assert (campaign.artifacts_dir / f"{key}.json").read_text() == sidecar
+
+
+class TestMemoUnderThreads:
+    def test_concurrent_lookups_keep_the_bound(self):
+        """Four threads (more than the cores) putting and getting under a
+        tiny switch interval: no lookup fails and the memo ends within
+        its budget, as it would if one thread had made every call."""
+
+        @dataclass
+        class Value:
+            nbytes: int = 1
+
+        memo = Memo(budget_bytes=4)
+        errors: list[BaseException] = []
+
+        def churn(worker: int) -> None:
+            try:
+                for i in range(400):
+                    key = f"{worker}/{i % 16}"
+                    if memo.get(key) is None:
+                        memo.put(key, Value())
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn, args=(w,)) for w in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(list(memo)) <= 4
