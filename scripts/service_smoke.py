@@ -29,9 +29,11 @@ the router is launched with N workers, one worker is SIGKILLed while
 the mixed traffic is in flight (every request must still succeed —
 forwarding retries through the restart), the supervisor must respawn
 the slot with a fresh pid, and ``--compare-results DIR`` asserts each
-captured simulate ``result`` object, and each ``error_<n>`` envelope
-from the malformed requests every run sends, is byte-identical to the
-one a prior single-process run wrote to DIR::
+captured simulate ``result`` object, each ``error_<n>`` envelope from
+the malformed requests every run sends, and each point line of one
+``/v1/sweep`` (its ``index``, ``point`` and ``result``, captured to
+``sweep.jsonl``) is byte-identical to the one a prior single-process
+run wrote to DIR::
 
     PYTHONPATH=src python scripts/service_smoke.py --payload-dir single
     PYTHONPATH=src python scripts/service_smoke.py --payload-dir fleet \
@@ -58,9 +60,10 @@ from repro.obs.schemas import (
     SchemaError,
     validate_access_log_record,
     validate_profile,
+    validate_sweep_stream,
 )
 from repro.service import ServiceClient
-from repro.util.jsonout import dump_json, write_json
+from repro.util.jsonout import dump_json, dump_json_line, write_json
 
 SIMULATE_CONFIGS = [
     {
@@ -71,6 +74,16 @@ SIMULATE_CONFIGS = [
 ] + [
     {"trace": {"kind": "matmul", "n": 16, "tile": 4}, "policy": "BNL3"},
 ]
+
+#: One sweep on the simulate configs' trace (2 caches x 2 policies x 2
+#: beta_m): the fleet shards it by cache, so ``--compare-results`` pins
+#: each point line against the single process's.
+SWEEP = {
+    "trace": SIMULATE_CONFIGS[0]["trace"],
+    "caches": [{"total_bytes": 4096}, {"total_bytes": 8192}],
+    "policies": ["FS", "BNL3"],
+    "memory_cycles": [4.0, 8.0],
+}
 
 ANALYTIC_REQUESTS = [
     ("execution-time", {"hit_ratio": 0.95, "memory_cycle": 8.0}),
@@ -130,6 +143,20 @@ def launch_server(access_log: Path, workers: int = 1) -> tuple[subprocess.Popen,
     return process, int(match.group(1))
 
 
+def sweep_points(lines: list[str]) -> dict[int, str]:
+    """A captured sweep's point lines by index, as their ``index``,
+    ``point`` and ``result`` bytes (line order and ``cached`` vary by
+    topology: the router interleaves its shards)."""
+    points = {}
+    for line in lines:
+        record = json.loads(line)
+        if "index" in record:
+            points[record["index"]] = dump_json_line(
+                {key: record.get(key) for key in ("index", "point", "result")}
+            )
+    return points
+
+
 def counter_total(counters: dict, name: str) -> float:
     """Sum a counter across the fleet: the router re-keys each worker's
     counters with a ``worker=`` label, so ``engine.step.calls`` becomes
@@ -172,8 +199,8 @@ def main(argv=None) -> int:
         default=None,
         metavar="DIR",
         help="payload dir from a prior run; every captured simulate "
-        "result object and error envelope must be byte-identical to its "
-        "counterpart there",
+        "result object, error envelope and sweep point must be "
+        "byte-identical to its counterpart there",
     )
     args = parser.parse_args(argv)
     payload_dir = Path(args.payload_dir)
@@ -281,6 +308,16 @@ def main(argv=None) -> int:
             record(f"error_{n}", envelope)
         stats = probe.stats_envelope()
         record("stats", stats)
+        # After the stats snapshot, so the counter checks below see only
+        # the simulate traffic.
+        sweep = list(probe.sweep(**SWEEP))
+        try:
+            validate_sweep_stream(sweep)
+        except SchemaError as error:
+            failures.append(f"/v1/sweep stream invalid: {error}")
+        if sweep[-1].get("errors"):
+            failures.append(f"/v1/sweep reported errors: {sweep[-1]}")
+        sweep_lines = [dump_json_line(entry) for entry in sweep]
         if args.workers > 1:
             fleet_section = stats.get("fleet", {})
             workers_info = fleet_section.get("workers", {})
@@ -502,9 +539,35 @@ def main(argv=None) -> int:
                 f"compared {compared} simulate results and error envelopes "
                 f"against {reference_dir}/"
             )
+        reference_sweep = reference_dir / "sweep.jsonl"
+        if not reference_sweep.exists():
+            failures.append(f"no reference sweep {reference_sweep}")
+        else:
+            reference_points = sweep_points(
+                reference_sweep.read_text().splitlines()
+            )
+            points = sweep_points(sweep_lines)
+            differing = sorted(
+                index
+                for index in reference_points.keys() | points.keys()
+                if reference_points.get(index) != points.get(index)
+            )
+            if differing:
+                failures.append(
+                    f"sweep points {differing} differ from the run in "
+                    f"{reference_dir}/"
+                )
+            else:
+                print(
+                    f"compared {len(points)} sweep points against "
+                    f"{reference_dir}/"
+                )
 
     for name, envelope in sorted(captured.items()):
         write_json(payload_dir / f"{name}.json", envelope)
+    (payload_dir / "sweep.jsonl").write_text(
+        "".join(line + "\n" for line in sweep_lines)
+    )
     print(
         f"captured {len(captured)} envelopes to {payload_dir}/ "
         f"({stats['result_cache']['hits']} cache hits, "

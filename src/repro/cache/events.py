@@ -58,6 +58,7 @@ every replacement/write/allocate policy the cache model supports.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 
 import numpy as np
@@ -85,6 +86,12 @@ EVENT_ARRAYS = (
     "write_around",
     "size",
 )
+
+
+#: Bytes of one list slot, and of one boxed int as the allocator hands it
+#: out (rounded up to 16 bytes).
+_LIST_SLOT_BYTES = sys.getsizeof([None]) - sys.getsizeof([])
+_INT_BYTES = -(-sys.getsizeof(1 << 20) // 16) * 16
 
 
 class EventStream:
@@ -162,12 +169,14 @@ class EventStream:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the event arrays and, once built, the fill
-        windows (the plain-list views of :attr:`derived` are not
-        counted)."""
-        if self._windows is None:
-            return self._array_bytes
-        return self._array_bytes + self._windows.nbytes
+        """Bytes held by the event arrays and every view built since: the
+        fill windows, and :attr:`derived` with its walks."""
+        total = self._array_bytes
+        if self._windows is not None:
+            total += self._windows.nbytes
+        if self._derived is not None:
+            total += self._derived.nbytes
+        return total
 
     # -- derived per-miss structures ------------------------------------
 
@@ -315,31 +324,47 @@ class FillWindows:
 
 class _Derived:
     """Replay-ready views of an :class:`EventStream` (plain lists, which
-    the per-miss replay loop indexes far faster than numpy scalars)."""
+    the per-miss replay loop indexes far faster than numpy scalars).
+
+    :attr:`nbytes` counts what each view holds as it is built, so the
+    events memo bounds them with the stream."""
 
     def __init__(self, events: EventStream) -> None:
         self._events = events
+        #: bytes held by the views built so far
+        self.nbytes = 0
         # Copy the grid kernel's arrays when it built them; otherwise
         # build them without caching, so a stream that only per-point
         # kernels replay holds just the lists.
         windows = events._windows or FillWindows(events)
+        if events._windows is None:
+            self.nbytes += windows.first_after_pos.nbytes + windows.touch_mask.nbytes
 
         #: instruction index / critical offset / dirty flag per fill
-        self.miss_index: list[int] = windows.miss_index.tolist()
-        self.miss_offset: list[int] = windows.miss_offset.tolist()
-        self.miss_dirty: list[bool] = windows.miss_dirty.tolist()
-        self.first_access_after_miss: list[int] = (
-            windows.first_access_after_miss.tolist()
+        self.miss_index: list[int] = self._tolist(windows.miss_index)
+        self.miss_offset: list[int] = self._tolist(windows.miss_offset)
+        self.miss_dirty: list[bool] = self._tolist(windows.miss_dirty)
+        self.first_access_after_miss: list[int] = self._tolist(
+            windows.first_access_after_miss
         )
-        self.touch_ptr: list[int] = windows.touch_ptr.tolist()
-        self.touch_index: list[int] = windows.touch_index.tolist()
-        self.touch_offset: list[int] = windows.touch_offset.tolist()
+        self.touch_ptr: list[int] = self._tolist(windows.touch_ptr)
+        self.touch_index: list[int] = self._tolist(windows.touch_index)
+        self.touch_offset: list[int] = self._tolist(windows.touch_offset)
         self._first_after_pos = windows.first_after_pos
         self._touch_mask = windows.touch_mask
 
         self._general_walk: GeneralWalk | None = None
         self._mshr_walks: dict[int, MshrWalk] = {}
         self._owner_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def _tolist(self, values: np.ndarray) -> list:
+        """``values.tolist()``, counted in :attr:`nbytes`: the list and
+        one object per int (CPython shares bools and ints -5..256)."""
+        if values.dtype != bool:
+            boxed = np.count_nonzero(values < -5) + np.count_nonzero(values > 256)
+            self.nbytes += _INT_BYTES * int(boxed)
+        self.nbytes += sys.getsizeof([]) + _LIST_SLOT_BYTES * values.size
+        return values.tolist()
 
     # -- general kernel walk --------------------------------------------
 
@@ -363,14 +388,14 @@ class _Derived:
         pos = np.flatnonzero(relevant)
         timed = (ev.write_through | ev.write_around)[pos]
         self._general_walk = GeneralWalk(
-            index=ev.index[pos].tolist(),
-            line=ev.line[pos].tolist(),
-            offset=ev.offset[pos].tolist(),
-            is_miss=ev.is_miss[pos].tolist(),
-            flush_line=ev.flush_line[pos].tolist(),
-            timed_write=timed.tolist(),
-            write_around=ev.write_around[pos].tolist(),
-            size=ev.size[pos].tolist(),
+            index=self._tolist(ev.index[pos]),
+            line=self._tolist(ev.line[pos]),
+            offset=self._tolist(ev.offset[pos]),
+            is_miss=self._tolist(ev.is_miss[pos]),
+            flush_line=self._tolist(ev.flush_line[pos]),
+            timed_write=self._tolist(timed),
+            write_around=self._tolist(ev.write_around[pos]),
+            size=self._tolist(ev.size[pos]),
         )
         return self._general_walk
 
@@ -405,6 +430,7 @@ class _Derived:
             fills_before,
             np.asarray(refill_prefix, dtype=np.int64),
         )
+        self.nbytes += sum(array.nbytes for array in self._owner_arrays)
         return self._owner_arrays
 
     def mshr_walk(self, mshr_count: int) -> MshrWalk:
@@ -434,12 +460,12 @@ class _Derived:
         )
         pos = np.flatnonzero(is_miss | may_wait)
         walk = MshrWalk(
-            index=ev.index[pos].tolist(),
-            line=ev.line[pos].tolist(),
-            offset=ev.offset[pos].tolist(),
-            is_miss=is_miss[pos].tolist(),
-            flush_line=ev.flush_line[pos].tolist(),
-            is_load=(~ev.is_store[pos]).tolist(),
+            index=self._tolist(ev.index[pos]),
+            line=self._tolist(ev.line[pos]),
+            offset=self._tolist(ev.offset[pos]),
+            is_miss=self._tolist(is_miss[pos]),
+            flush_line=self._tolist(ev.flush_line[pos]),
+            is_load=self._tolist(~ev.is_store[pos]),
         )
         self._mshr_walks[mshr_count] = walk
         return walk

@@ -99,12 +99,16 @@ EVENTS_CACHE_ENV = "REPRO_EVENTS_CACHE"
 EVENTS_CACHE_DIR_ENV = "REPRO_EVENTS_CACHE_DIR"
 
 #: In-process memo bound: bytes held by the memoized streams (their
-#: event arrays plus the fill windows built since).  Figure 1's six
-#: 60k-instruction spec92 streams hold about 6.8 MiB and stay resident
-#: while its four policies replay them; a 48x48 matmul's stream holds
-#: 10-12 MiB, so it is dropped before the next lookup loads or builds,
-#: and never sits beside the next tile's 30 MiB reuse profile (the
-#: tiling extension sets the peak RSS of ``--all``).
+#: event arrays plus every view built since: the fill windows, and the
+#: plain-list ``derived`` views with their walks, see
+#: ``EventStream.nbytes``).  Figure 1's six 60k-instruction spec92
+#: streams build only fill windows, hold about 6.8 MiB and stay resident
+#: while its four policies replay them; a 60k stream replayed per point
+#: holds about 4.4 MiB once ``derived`` and its general walk exist; a
+#: 48x48 matmul's stream holds 10-12 MiB, so it is dropped before the
+#: next lookup loads or builds, and never sits beside the next tile's
+#: 30 MiB reuse profile (the tiling extension sets the peak RSS of
+#: ``--all``).
 _MEMO_BYTES = 8 * 2**20
 
 _memo: Memo[EventStream] = Memo(_MEMO_BYTES)

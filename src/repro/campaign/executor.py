@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import http.client
 import logging
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.campaign import spec as spec_mod
 from repro.campaign.registry import Campaign
 from repro.obs import metrics, tracing
-from repro.service import queries
+from repro.service import queries, schemas
 from repro.service.client import ServiceError
 from repro.util.jsonout import dump_json
 
@@ -183,43 +183,29 @@ def _service_pass(checkpointer: Checkpointer, client: Any) -> None:
     router); leftover single points go through ``/v1/simulate``.
     """
     spec = checkpointer.campaign.spec
-    per = len(spec["policies"]) * len(spec["memory_cycles"])
-    per_trace = len(spec["caches"]) * per
     pending = {cp.index: cp for cp in unsettled_points(checkpointer)}
-    for trace_index, trace in enumerate(spec["traces"]):
+    for trace_index, offset, sweep in spec_mod.trace_sweeps(spec):
         if checkpointer.exhausted:
             return
-        base = trace_index * per_trace
         # Cache columns where *every* cell is pending sweep as one
         # stream; anything else would re-request settled points.
+        settled = {
+            point["cache_index"]
+            for index, point, _ in schemas.sweep_grid(sweep)
+            if offset + index not in pending
+        }
         columns = [
-            ci
-            for ci in range(len(spec["caches"]))
-            if all(base + ci * per + rem in pending for rem in range(per))
+            ci for ci in range(len(sweep["caches"])) if ci not in settled
         ]
         if columns:
-            sweep_params: dict[str, Any] = {
-                "trace": trace,
-                "caches": [spec["caches"][ci] for ci in columns],
-                "policies": spec["policies"],
-                "memory_cycles": spec["memory_cycles"],
-                "bus_width": spec["bus_width"],
-                "issue_rate": spec["issue_rate"],
-            }
-            for key in ("write_buffer_depth", "pipelined_q", "deadline_ms"):
-                if spec[key] is not None:
-                    sweep_params[key] = spec[key]
-            for record in client.sweep(**sweep_params):
+            sub, to_global = schemas.sub_sweep(sweep, columns)
+            for record in client.sweep(**schemas.wire_params(sub)):
                 if "index" not in record:
                     continue  # the header and the summary
                 if checkpointer.exhausted:
                     return
-                # Sweep index -> campaign index: the stream enumerates
-                # the *subset* grid cache-major, so its cache slot maps
-                # through columns back to the spec's cache index.
-                ci = columns[record["index"] // per]
-                cp = pending[base + ci * per + record["index"] % per]
-                checkpointer.settle(cp, record)
+                index, _ = to_global(record["index"])
+                checkpointer.settle(pending[offset + index], record)
         for cp in pending.values():
             if (
                 cp.point["trace_index"] != trace_index
@@ -228,7 +214,7 @@ def _service_pass(checkpointer: Checkpointer, client: Any) -> None:
                 continue
             if checkpointer.exhausted:
                 return
-            params = spec_mod.wire_params(spec_mod.point_params(spec, cp.point))
+            params = schemas.wire_params(spec_mod.point_params(spec, cp.point))
             try:
                 record = {"result": client.simulate(**params)["result"]}
             except ServiceError as error:
@@ -322,12 +308,3 @@ def run_campaign(
         "progress": final,
     }
 
-
-def iter_status_points(
-    campaign: Campaign,
-) -> Iterable[tuple[spec_mod.CampaignPoint, dict[str, Any] | None]]:
-    """(point, state entry) pairs in index order — shared by the CLI's
-    status table and the comparison loader."""
-    status = campaign.load_state()
-    for cp in spec_mod.iter_points(campaign.spec):
-        yield cp, status.get(cp.index)

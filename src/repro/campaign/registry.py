@@ -45,12 +45,8 @@ from typing import Any, Iterator
 
 from repro.campaign import spec as spec_mod
 from repro.obs.schemas import validate_indexed_stream
-from repro.service import queries
-from repro.service.result_cache import (
-    RESULT_CACHE_VERSION,
-    result_key,
-    simulate_key_material,
-)
+from repro.service import queries, schemas
+from repro.service.result_cache import RESULT_CACHE_VERSION
 from repro.util import storeenv
 from repro.util.blobstore import (
     BlobStore,
@@ -108,25 +104,18 @@ class Campaign:
     def name(self) -> str | None:
         return self.spec.get("name")
 
+    @property
+    def grid(self) -> dict[str, int]:
+        """The length of each grid axis, as results headers report it."""
+        return {"traces": len(self.spec["traces"]), **schemas.grid_shape(self.spec)}
+
     # -- identity ----------------------------------------------------------
 
     def result_key_of(self, point: dict[str, Any]) -> str:
         """One point's content-addressed result key — the *same* key the
         service's result caches use, which is what makes local and
         ``--via-service`` runs interchangeable byte for byte."""
-        params = spec_mod.point_params(self.spec, point)
-        return result_key(
-            simulate_key_material(
-                queries.trace_fingerprint_of(params["trace"]),
-                queries.cache_config_of(params),
-                params["policy"],
-                params["memory_cycle"],
-                params["bus_width"],
-                params["write_buffer_depth"],
-                params["pipelined_q"],
-                params["issue_rate"],
-            )
-        )
+        return queries.result_key_of(spec_mod.point_params(self.spec, point))
 
     # -- spec persistence --------------------------------------------------
 
@@ -249,12 +238,7 @@ class Campaign:
             "schema": CAMPAIGN_RESULTS_SCHEMA,
             "campaign": self.id,
             "points": self.points,
-            "grid": {
-                "traces": len(self.spec["traces"]),
-                "caches": len(self.spec["caches"]),
-                "policies": len(self.spec["policies"]),
-                "memory_cycles": len(self.spec["memory_cycles"]),
-            },
+            "grid": self.grid,
         }
         if self.name is not None:
             header["name"] = self.name
@@ -337,12 +321,7 @@ class Campaign:
         out: dict[str, Any] = {
             "campaign": self.id,
             "progress": self.progress(status),
-            "grid": {
-                "traces": len(self.spec["traces"]),
-                "caches": len(self.spec["caches"]),
-                "policies": len(self.spec["policies"]),
-                "memory_cycles": len(self.spec["memory_cycles"]),
-            },
+            "grid": self.grid,
         }
         if self.name is not None:
             out["name"] = self.name
@@ -517,6 +496,11 @@ def validate_campaign_dir(path: str | os.PathLike[str]) -> dict[str, Any]:
     """Validate one campaign directory end to end (spec, state,
     artifacts, results); raises :class:`SchemaError`, returns counts.
 
+    Beyond integrity (checksums, framing, the summary's sha256) it checks
+    identity: every done point's artifact is addressed by that point's
+    result key, and every results line carries the spec's point at its
+    index.
+
     This is the ``--campaign`` mode of ``python -m repro.obs.validate``
     — CI points it at a smoke campaign after a kill+resume to prove the
     registry's invariants held through the crash.
@@ -544,14 +528,20 @@ def validate_campaign_dir(path: str | os.PathLike[str]) -> dict[str, Any]:
         )
     status = campaign.load_state()
     counts = campaign.progress(status)
-    for index, entry in status.items():
-        if "artifact" in entry:
-            key = entry["artifact"]
-            require(
-                campaign.load_artifact(key) is not None,
-                f"$.status[{index}]",
-                f"artifact {key[:12]} missing or corrupt",
-            )
+    for cp in spec_mod.iter_points(spec):
+        key = status.get(cp.index, {}).get("artifact")
+        if key is None:
+            continue
+        require(
+            key == campaign.result_key_of(cp.point),
+            f"$.status[{cp.index}].artifact",
+            f"{key[:12]} is not this point's result key",
+        )
+        require(
+            campaign.load_artifact(key) is not None,
+            f"$.status[{cp.index}]",
+            f"artifact {key[:12]} missing or corrupt",
+        )
     out: dict[str, Any] = {"campaign": campaign.id, **counts}
     if campaign.results_path.exists():
         data = campaign.results_path.read_bytes()
@@ -565,6 +555,13 @@ def validate_campaign_dir(path: str | os.PathLike[str]) -> dict[str, Any]:
         )
         records = [json.loads(line) for line in data.split(b"\n") if line.strip()]
         out["results"] = validate_indexed_stream(records, header, _RESULTS_SUMMARY)
+        lines = sorted(records[1:-1], key=lambda line: line["index"])
+        for line, cp in zip(lines, spec_mod.iter_points(spec)):
+            require(
+                line["point"] == cp.point,
+                f"$.results[{cp.index}].point",
+                "is not the spec's point at this index",
+            )
         if campaign.summary_path.exists():
             summary = _SUMMARY_DOC(
                 json.loads(campaign.summary_path.read_text(encoding="utf-8")),

@@ -29,13 +29,13 @@ grid twice — however the JSON was formatted, whichever defaults were
 spelled out — resolves to the same campaign.
 
 Enumeration (:func:`iter_points`) is **trace-major, then cache-major**:
-within one trace the point order is exactly the service's
-:func:`~repro.service.schemas.sweep_grid` order (cache, then policy,
-then β\\ :sub:`m`), so a campaign's per-trace slice maps 1:1 onto one
-``/v1/sweep`` stream and the executor can drive whole traces through
-the fleet's sharded sweep path.  Excluded points keep their index (they
-are enumerated, flagged, and never simulated) so the index space is
-stable under exclusion-rule edits that only *add* rules.
+each trace's slice of the grid is one ``/v1/sweep`` (:func:`trace_sweep`)
+enumerated by the service's own :func:`~repro.service.schemas.sweep_grid`
+(cache, then policy, then β\\ :sub:`m`), so the executor can drive whole
+cache columns through the fleet's sharded sweep path.  Excluded points
+keep their index (they are enumerated, flagged, and never simulated) so
+the index space is stable under exclusion-rule edits that only *add*
+rules.
 """
 
 from __future__ import annotations
@@ -44,8 +44,10 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Iterator
 
+from repro.service import schemas
 from repro.service.schemas import (
     CACHES,
+    GRID_AXES,
     MAX_SWEEP_POINTS,
     MEMORY_CYCLES,
     POINT_OPTIONS,
@@ -54,6 +56,8 @@ from repro.service.schemas import (
     TRACE,
     caches_cover_bus,
     grid_limit,
+    sweep_grid,
+    sweep_point_count,
 )
 from repro.util.jsonout import dump_json
 from repro.util.schema import (
@@ -79,6 +83,8 @@ __all__ = [
     "iter_points",
     "point_count",
     "point_params",
+    "trace_sweep",
+    "trace_sweeps",
     "validate_spec",
 ]
 
@@ -200,12 +206,7 @@ def campaign_id(spec: dict[str, Any]) -> str:
 
 def point_count(spec: dict[str, Any]) -> int:
     """Grid size including excluded points (the index-space size)."""
-    return (
-        len(spec["traces"])
-        * len(spec["caches"])
-        * len(spec["policies"])
-        * len(spec["memory_cycles"])
-    )
+    return len(spec["traces"]) * sweep_point_count(spec)
 
 
 def _excluded(spec: dict[str, Any], point: dict[str, Any]) -> bool:
@@ -226,52 +227,41 @@ class CampaignPoint:
     excluded: bool
 
 
-def iter_points(spec: dict[str, Any]) -> Iterator[CampaignPoint]:
-    """Enumerate the grid deterministically (trace- then cache-major).
+def trace_sweep(spec: dict[str, Any], trace_index: int) -> dict[str, Any]:
+    """One trace's slice of the grid, as a validated ``/v1/sweep``."""
+    return {
+        "trace": spec["traces"][trace_index],
+        **{name: spec[name] for name in (*GRID_AXES, *POINT_OPTIONS)},
+    }
 
-    Within one trace the order is exactly the service's
-    :func:`~repro.service.schemas.sweep_grid` order, so per-trace index
-    arithmetic (``index % per_trace``) maps campaign indices onto sweep
-    stream indices.
-    """
-    index = 0
+
+def trace_sweeps(
+    spec: dict[str, Any],
+) -> Iterator[tuple[int, int, dict[str, Any]]]:
+    """``(trace_index, offset, sweep)`` per trace, in order: the grid is
+    trace-major, so a trace's sweep index ``i`` is campaign index
+    ``offset + i``."""
+    offset = 0
     for trace_index in range(len(spec["traces"])):
-        for cache_index, cache in enumerate(spec["caches"]):
-            for policy in spec["policies"]:
-                for beta in spec["memory_cycles"]:
-                    point = {
-                        "trace_index": trace_index,
-                        "cache_index": cache_index,
-                        "cache": cache,
-                        "policy": policy,
-                        "memory_cycle": beta,
-                    }
-                    yield CampaignPoint(index, point, _excluded(spec, point))
-                    index += 1
+        sweep = trace_sweep(spec, trace_index)
+        yield trace_index, offset, sweep
+        offset += sweep_point_count(sweep)
+
+
+def iter_points(spec: dict[str, Any]) -> Iterator[CampaignPoint]:
+    """Enumerate the grid deterministically: trace-major, and within one
+    trace the service's :func:`~repro.service.schemas.sweep_grid`."""
+    for trace_index, offset, sweep in trace_sweeps(spec):
+        for index, grid_point, _ in sweep_grid(sweep):
+            point = {"trace_index": trace_index, **grid_point}
+            yield CampaignPoint(offset + index, point, _excluded(spec, point))
 
 
 def point_params(spec: dict[str, Any], point: dict[str, Any]) -> dict[str, Any]:
     """One point's validated ``/v1/simulate``-shaped parameter dict.
 
     Already-normalized (the spec validators applied every default), so
-    the executor can hand it straight to the local query functions; the
-    service path strips ``None`` optionals before the wire (the request
-    validators reject explicit nulls).
+    the executor can hand it straight to the local query functions; a
+    request sends its :func:`~repro.service.schemas.wire_params`.
     """
-    return {
-        "trace": spec["traces"][point["trace_index"]],
-        "cache": point["cache"],
-        "policy": point["policy"],
-        "memory_cycle": point["memory_cycle"],
-        "bus_width": spec["bus_width"],
-        "write_buffer_depth": spec["write_buffer_depth"],
-        "pipelined_q": spec["pipelined_q"],
-        "issue_rate": spec["issue_rate"],
-        "deadline_ms": spec["deadline_ms"],
-    }
-
-
-def wire_params(params: dict[str, Any]) -> dict[str, Any]:
-    """The on-the-wire form of :func:`point_params` (``None``\\ s
-    dropped, exactly like the router's sub-sweep requests)."""
-    return {key: value for key, value in params.items() if value is not None}
+    return schemas.point_params(trace_sweep(spec, point["trace_index"]), point)

@@ -11,9 +11,9 @@ Observability: the trace build and functional passes run under spans,
 and per-(trace, geometry) cache counters are recorded from the event
 streams once per experiment.  :func:`clear_caches` empties the trace
 memo, both phase-1 memos and the record of counted streams — the runner
-calls it per experiment while metrics collection is on, so
-per-experiment counts are independent of what ran earlier in the
-process (the basis of the ``--jobs N`` byte-identical-aggregate
+calls it before every experiment, so no experiment's streams stay
+resident through the next and per-experiment counts are independent of
+what ran earlier in the process (the basis of the ``--jobs N`` byte-identical-aggregate
 guarantee; see ``docs/OBSERVABILITY.md``).
 """
 
@@ -201,9 +201,9 @@ def clear_caches() -> None:
     """Reset the in-process phase-1 state: the trace memo, the event
     stream and reuse profile memos, and the record of counted streams.
 
-    The runner calls this per experiment while metrics collection is on
-    so each experiment's counters describe a cold start — independent of
-    job count and of whatever ran earlier in the process.  The on-disk
+    The runner calls this before every experiment, so each experiment's
+    counters describe a cold start — independent of job count and of
+    whatever ran earlier in the process.  The on-disk
     stores are *not* touched: their contents are deterministic and their
     use is counter-free, so warm entries cannot perturb either results
     or metrics.

@@ -180,11 +180,12 @@ def _run_one(
 ]:
     """Run one experiment; returns (result, seconds, metrics, spans, profile).
 
-    Top-level so it pickles for :class:`ProcessPoolExecutor`.  Collection
-    is scoped per experiment: a fresh metrics registry is installed and
-    the phase-1 memos are cleared first (and the heap they held handed
-    back), so the snapshot describes a cold start regardless of process
-    reuse — sequential and worker runs produce identical snapshots.
+    Top-level so it pickles for :class:`ProcessPoolExecutor`.  Every
+    experiment starts cold: the phase-1 memos are cleared first (and the
+    heap they held handed back), so no experiment's streams stay resident
+    through the next, and a collected snapshot (a fresh metrics registry
+    per experiment) describes a cold start regardless of process reuse —
+    sequential and worker runs produce identical snapshots.
     ``worker`` marks a pool-process call: a fresh local tracer is
     installed (a forked child would otherwise append to its useless copy
     of the parent's tracer) and its events are returned for the parent
@@ -200,14 +201,15 @@ def _run_one(
     registry = None
     if with_metrics:
         registry = metrics.enable_metrics()
-    if with_metrics or with_tracing:
-        # Cold-start the phase-1 memos so the collected spans/counters
-        # describe this experiment completely and independently of what
-        # ran earlier in the process (or of the job count).
-        from repro.experiments._phi import clear_caches
+    # Cold-start the phase-1 memos, and hand back the heap they held, so
+    # no experiment keeps another's streams resident and the collected
+    # spans/counters describe this experiment completely and
+    # independently of what ran earlier in the process (or of the job
+    # count).
+    from repro.experiments._phi import clear_caches
 
-        clear_caches()
-        _release_heap()
+    clear_caches()
+    _release_heap()
     profiler = None
     if profile_hz is not None:
         profiler = profile_mod.SamplingProfiler(hz=profile_hz).start()

@@ -60,11 +60,7 @@ from repro.service import schemas as request_schemas
 from repro.service.batching import MicroBatcher, QueueFullError
 from repro.service.disk_cache import DiskResultCache
 from repro.service.http11 import HttpError, Request
-from repro.service.result_cache import (
-    ResultCache,
-    result_key,
-    simulate_key_material,
-)
+from repro.service.result_cache import ResultCache
 from repro.util.jsonout import dump_json, dump_json_line
 
 #: Per-endpoint latency samples retained for the stats percentiles.
@@ -444,39 +440,32 @@ class ServiceApp:
 
     # -- the simulation endpoint ------------------------------------------
 
-    @staticmethod
-    def _result_key_of(validated: dict[str, Any]) -> str:
-        """The content-addressed result key for one validated request."""
-        return result_key(
-            simulate_key_material(
-                queries.trace_fingerprint_of(validated["trace"]),
-                queries.cache_config_of(validated),
-                validated["policy"],
-                validated["memory_cycle"],
-                validated["bus_width"],
-                validated["write_buffer_depth"],
-                validated["pipelined_q"],
-                validated["issue_rate"],
-            )
-        )
-
-    def _cache_lookup(self, key: str) -> bytes | None:
-        """Two-tier lookup: memory first, then disk (promoting on hit)."""
+    def _lookup(self, key: str) -> bytes | None:
+        """One point's cached result bytes: memory, then disk (a disk hit
+        is promoted into memory); counts the hit or the miss."""
         payload = self.result_cache.get(key)
-        if payload is not None:
-            return payload
-        if self.disk_cache is not None:
+        if payload is None and self.disk_cache is not None:
             payload = self.disk_cache.get(key)
             if payload is not None:
                 self.result_cache.put(key, payload)
-                return payload
-        return None
+        if payload is None:
+            self.registry.inc("service.result_cache.misses")
+        else:
+            self.registry.inc("service.result_cache.hits")
+        return payload
 
-    def _cache_store(self, key: str, payload: bytes) -> None:
-        """Store a freshly computed result in both cache tiers."""
+    async def _compute(self, key: str, validated: dict[str, Any]) -> dict[str, Any]:
+        """One missed point through the batcher under its deadline; the
+        result is stored in both cache tiers before it is returned."""
+        result = await asyncio.wait_for(
+            self.batcher.submit(validated),
+            timeout=self._deadline_s_of(validated),
+        )
+        payload = dump_json(result).encode("utf-8")
         self.result_cache.put(key, payload)
         if self.disk_cache is not None:
             self.disk_cache.put(key, payload)
+        return result
 
     def _deadline_s_of(self, validated: dict[str, Any]) -> float:
         deadline_ms = validated["deadline_ms"]
@@ -489,16 +478,14 @@ class ServiceApp:
     async def _simulate(self, params: Any) -> tuple[int, bytes]:
         with tracing.span("service.dispatch", endpoint="simulate"):
             validated = request_schemas.validate_simulate(params)
-            key = self._result_key_of(validated)
-            payload = self._cache_lookup(key)
+            key = queries.result_key_of(validated)
+            payload = self._lookup(key)
         if payload is not None:
-            self.registry.inc("service.result_cache.hits")
             live.annotate(cache="hit")
             with tracing.span("service.serialize", endpoint="simulate"):
                 return 200, self._success(
                     "simulate", json.loads(payload), cached=True
                 )
-        self.registry.inc("service.result_cache.misses")
         if (
             self.shed_watermark is not None
             and self.batcher.queue_depth >= self.shed_watermark
@@ -513,16 +500,12 @@ class ServiceApp:
                 f"queue depth at admission watermark "
                 f"({self.shed_watermark}); retry with backoff",
             )
-        deadline_ms = validated["deadline_ms"]
-        live.annotate(cache="miss", batched=True, deadline_ms=deadline_ms)
+        live.annotate(
+            cache="miss", batched=True, deadline_ms=validated["deadline_ms"]
+        )
         with tracing.span("service.batch_wait", key=key[:12]):
-            result = await asyncio.wait_for(
-                self.batcher.submit(validated),
-                timeout=self._deadline_s_of(validated),
-            )
+            result = await self._compute(key, validated)
         with tracing.span("service.serialize", endpoint="simulate"):
-            result_bytes = dump_json(result).encode("utf-8")
-            self._cache_store(key, result_bytes)
             return 200, self._success("simulate", result, cached=False)
 
     # -- the sweep endpoint ------------------------------------------------
@@ -551,11 +534,7 @@ class ServiceApp:
         header = {
             "schema": SERVICE_SWEEP_SCHEMA,
             "points": total,
-            "grid": {
-                "caches": len(validated["caches"]),
-                "policies": len(validated["policies"]),
-                "memory_cycles": len(validated["memory_cycles"]),
-            },
+            "grid": request_schemas.grid_shape(validated),
         }
         yield (dump_json_line(header) + "\n").encode("utf-8")
         errors = 0
@@ -594,34 +573,22 @@ class ServiceApp:
         resolved: list[tuple[int, dict[str, Any], Any, bool]] = []
         pending: list[tuple[int, dict[str, Any], str, dict[str, Any]]] = []
         for index, point, params in batch:
-            key = self._result_key_of(params)
-            payload = self._cache_lookup(key)
+            key = queries.result_key_of(params)
+            payload = self._lookup(key)
             if payload is not None:
-                self.registry.inc("service.result_cache.hits")
                 resolved.append((index, point, json.loads(payload), True))
             else:
-                self.registry.inc("service.result_cache.misses")
                 pending.append((index, point, key, params))
         if pending:
             with tracing.span("service.batch_wait", points=len(pending)):
                 outcomes = await asyncio.gather(
-                    *(
-                        asyncio.wait_for(
-                            self.batcher.submit(params),
-                            timeout=self._deadline_s_of(params),
-                        )
-                        for _, _, _, params in pending
-                    ),
+                    *(self._compute(key, params) for _, _, key, params in pending),
                     return_exceptions=True,
                 )
-            for (index, point, key, _params), outcome in zip(pending, outcomes):
-                if isinstance(outcome, BaseException):
-                    resolved.append((index, point, outcome, False))
-                else:
-                    self._cache_store(
-                        key, dump_json(outcome).encode("utf-8")
-                    )
-                    resolved.append((index, point, outcome, False))
+            resolved.extend(
+                (index, point, outcome, False)
+                for (index, point, _, _), outcome in zip(pending, outcomes)
+            )
         lines: list[str] = []
         failed = 0
         for index, point, outcome, cached in sorted(resolved):
@@ -700,18 +667,11 @@ class ServiceApp:
         is a transport concern; artifacts store canonical result bytes).
         The router overrides this to forward to the owning worker.
         """
-        key = self._result_key_of(validated)
-        payload = self._cache_lookup(key)
+        key = queries.result_key_of(validated)
+        payload = self._lookup(key)
         if payload is not None:
-            self.registry.inc("service.result_cache.hits")
             return json.loads(payload)
-        self.registry.inc("service.result_cache.misses")
-        result = await asyncio.wait_for(
-            self.batcher.submit(validated),
-            timeout=self._deadline_s_of(validated),
-        )
-        self._cache_store(key, dump_json(result).encode("utf-8"))
-        return result
+        return await self._compute(key, validated)
 
     # -- live observability -------------------------------------------------
 

@@ -8,7 +8,8 @@ on the event loop; the simulation-backed query is split so the
 micro-batch scheduler can share its expensive half:
 
 * :func:`trace_fingerprint_of` / :func:`events_key_of` — the
-  (trace, geometry) identity a batch group coalesces on;
+  (trace, geometry) identity a batch group coalesces on, and
+  :func:`result_key_of` — one point's result identity;
 * :func:`resolve_events` — phase 1: one lookup of the events store
   (memo, disk, or a cold extraction from the trace's reference arrays)
   per group;
@@ -43,6 +44,7 @@ from repro.cpu.processor import TimingResult
 from repro.cpu.replay import simulate, unsupported_reason
 from repro.memory.mainmem import MainMemory
 from repro.memory.pipelined import PipelinedMemory
+from repro.service.result_cache import result_key, simulate_key_material
 from repro.trace.recipe import trace_recipe
 
 _FEATURES = {
@@ -289,6 +291,27 @@ def events_key_of(params: dict[str, Any]) -> str:
     """
     return events_store.entry_key(
         trace_fingerprint_of(params["trace"]), cache_config_of(params)
+    )
+
+
+def result_key_of(params: dict[str, Any]) -> str:
+    """The content address of one simulate point's result.
+
+    The key the service's result caches and a campaign's artifacts
+    share, which is what makes every path to a point interchangeable
+    byte for byte.
+    """
+    return result_key(
+        simulate_key_material(
+            trace_fingerprint_of(params["trace"]),
+            cache_config_of(params),
+            params["policy"],
+            params["memory_cycle"],
+            params["bus_width"],
+            params["write_buffer_depth"],
+            params["pipelined_q"],
+            params["issue_rate"],
+        )
     )
 
 

@@ -511,12 +511,11 @@ class RouterApp(ServiceApp):
         including the retry-through-restart path, which is what lets a
         SIGKILLed worker cost a campaign nothing but latency.
         """
-        wire = {
-            key: value for key, value in validated.items() if value is not None
-        }
         owner = self.fleet.ring.owner(queries.events_key_of(validated))
         response = await self._forward_simulate(
-            owner, wire, self._deadline_s_of(validated)
+            owner,
+            request_schemas.wire_params(validated),
+            self._deadline_s_of(validated),
         )
         envelope = json.loads(response.body)
         if response.status != 200:
@@ -590,32 +589,13 @@ class RouterApp(ServiceApp):
             assignments.setdefault(self.fleet.ring.owner(key), []).append(index)
         return assignments
 
-    @staticmethod
-    def _sub_params(
-        validated: dict[str, Any], cache_indices: list[int]
-    ) -> dict[str, Any]:
-        """A worker's sub-sweep request: its cache columns, full inner grid."""
-        sub: dict[str, Any] = {
-            "trace": validated["trace"],
-            "caches": [validated["caches"][i] for i in cache_indices],
-            "policies": validated["policies"],
-            "memory_cycles": validated["memory_cycles"],
-            "bus_width": validated["bus_width"],
-            "issue_rate": validated["issue_rate"],
-        }
-        for optional in ("write_buffer_depth", "pipelined_q", "deadline_ms"):
-            if validated[optional] is not None:
-                sub[optional] = validated[optional]
-        return sub
-
     async def _sweep_chunks(self, validated: dict[str, Any]) -> Any:
         """Fan the grid out by owner; relay records as workers stream them."""
-        per = len(validated["policies"]) * len(validated["memory_cycles"])
         queue: asyncio.Queue[Any] = asyncio.Queue(maxsize=512)
         done = object()
         tasks = [
             asyncio.ensure_future(
-                self._pump(worker, validated, indices, per, queue, done)
+                self._pump(worker, validated, indices, queue, done)
             )
             for worker, indices in sorted(self._assignments(validated).items())
         ]
@@ -640,7 +620,6 @@ class RouterApp(ServiceApp):
         worker: str,
         validated: dict[str, Any],
         cache_indices: list[int],
-        per: int,
         queue: asyncio.Queue[Any],
         done: object,
     ) -> None:
@@ -649,17 +628,24 @@ class RouterApp(ServiceApp):
         Rewrites the worker's local point indices to global ones.  A
         transport failure mid-stream restarts the worker (same slot)
         and re-forwards the whole sub-sweep — already-relayed points are
-        deduplicated by global index, and the re-run is cheap because
-        the worker's result cache already holds them.  After
+        deduplicated, and the re-run is cheap because the worker's
+        result cache already holds them.  After
         :data:`SWEEP_RESUME_LIMIT` resumes, never-received points are
         reported as error lines so the stream still terminates with a
         complete index space.
         """
+        sub, to_global = request_schemas.sub_sweep(validated, cache_indices)
         body = json.dumps(
-            {"params": self._sub_params(validated, cache_indices)}
+            {"params": request_schemas.wire_params(sub)}
         ).encode("utf-8")
-        expected = len(cache_indices) * per
-        emitted: set[int] = set()
+
+        def globalized(record: dict[str, Any]) -> dict[str, Any]:
+            record["index"], record["point"]["cache_index"] = to_global(
+                record["index"]
+            )
+            return record
+
+        relayed: set[int] = set()
         try:
             for attempt in range(1 + SWEEP_RESUME_LIMIT):
                 if attempt:
@@ -673,57 +659,31 @@ class RouterApp(ServiceApp):
                         local = record.get("index")
                         if not isinstance(local, int):
                             continue  # the worker's header/summary lines
-                        global_cache = cache_indices[local // per]
-                        global_index = global_cache * per + (local % per)
-                        if global_index in emitted:
+                        if local in relayed:
                             continue  # replay overlap after a resume
-                        emitted.add(global_index)
-                        record["index"] = global_index
-                        point = record.get("point")
-                        if isinstance(point, dict):
-                            point["cache_index"] = global_cache
-                        await queue.put(record)
+                        relayed.add(local)
+                        await queue.put(globalized(record))
                 except (OSError, asyncio.IncompleteReadError, HttpError):
                     await self.fleet.ensure_alive(worker)
                     continue
                 break  # the worker's stream ended cleanly
-            if len(emitted) < expected:
-                for global_cache in cache_indices:
-                    for rem in range(per):
-                        global_index = global_cache * per + rem
-                        if global_index not in emitted:
-                            await queue.put(
-                                self._missing_point(
-                                    validated, worker, global_index, per
-                                )
+            if len(relayed) < request_schemas.sweep_point_count(sub):
+                error = queries.point_error(
+                    HttpError(
+                        502,
+                        "bad_upstream",
+                        f"shard {worker} did not deliver this point",
+                    )
+                )
+                for local, point, _ in request_schemas.sweep_grid(sub):
+                    if local not in relayed:
+                        await queue.put(
+                            globalized(
+                                {"error": error, "index": local, "point": point}
                             )
+                        )
         finally:
             await queue.put(done)
-
-    @staticmethod
-    def _missing_point(
-        validated: dict[str, Any], worker: str, global_index: int, per: int
-    ) -> dict[str, Any]:
-        """An error line for a point its shard never delivered."""
-        n_beta = len(validated["memory_cycles"])
-        cache_index = global_index // per
-        rem = global_index % per
-        return {
-            "error": queries.point_error(
-                HttpError(
-                    502,
-                    "bad_upstream",
-                    f"shard {worker} did not deliver this point",
-                )
-            ),
-            "index": global_index,
-            "point": {
-                "cache_index": cache_index,
-                "cache": validated["caches"][cache_index],
-                "policy": validated["policies"][rem // n_beta],
-                "memory_cycle": validated["memory_cycles"][rem % n_beta],
-            },
-        }
 
     # -- merged observability ----------------------------------------------
 

@@ -14,6 +14,7 @@ Limits guard the simulation-backed path: ``instructions`` and matmul
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from typing import Any
 
 from repro.core.stalling import StallPolicy
@@ -36,6 +37,7 @@ __all__ = [
     "MAX_INSTRUCTIONS",
     "MAX_MATMUL_N",
     "MAX_SWEEP_POINTS",
+    "GRID_AXES",
     "validate_execution_time",
     "validate_tradeoff",
     "validate_ranking",
@@ -44,8 +46,12 @@ __all__ = [
     "validate_sweep",
     "validate_trace_spec",
     "validate_cache_spec",
+    "grid_shape",
+    "point_params",
+    "sub_sweep",
     "sweep_grid",
     "sweep_point_count",
+    "wire_params",
 ]
 
 #: Largest trace a single simulate request may ask for.
@@ -315,6 +321,15 @@ def validate_sweep(params: Any) -> dict[str, Any]:
     return _SWEEP(params, "$.params")
 
 
+#: The sweep axes, outermost first: the grid is cache-major.
+GRID_AXES = ("caches", "policies", "memory_cycles")
+
+
+def grid_shape(validated: dict[str, Any]) -> dict[str, int]:
+    """The length of each sweep axis, as stream headers report it."""
+    return {axis: len(validated[axis]) for axis in GRID_AXES}
+
+
 def sweep_point_count(validated: dict[str, Any]) -> int:
     """How many points a validated sweep expands to."""
     return (
@@ -324,6 +339,24 @@ def sweep_point_count(validated: dict[str, Any]) -> int:
     )
 
 
+def point_params(validated: dict[str, Any], point: dict[str, Any]) -> dict[str, Any]:
+    """One grid point's validated ``/v1/simulate`` params: the sweep's
+    trace and per-point options at ``point``'s cache, policy and beta_m."""
+    return {
+        "trace": validated["trace"],
+        "cache": point["cache"],
+        "policy": point["policy"],
+        "memory_cycle": point["memory_cycle"],
+        **{name: validated[name] for name in POINT_OPTIONS},
+    }
+
+
+def wire_params(params: dict[str, Any]) -> dict[str, Any]:
+    """Validated params as a request sends them: ``None`` optionals
+    dropped, because the request validators reject explicit nulls."""
+    return {key: value for key, value in params.items() if value is not None}
+
+
 def sweep_grid(validated: dict[str, Any]):
     """Lazily expand a validated sweep into ``(index, point, params)``.
 
@@ -331,9 +364,8 @@ def sweep_grid(validated: dict[str, Any]):
     Enumeration is **cache-major** (geometry outer, then policy, then
     beta_m): consecutive points share an events-store key, so they
     coalesce in one worker's micro-batch, and a geometry subset of the
-    grid is itself a valid sub-grid — the property the fleet router's
-    sharding relies on to forward one sub-sweep per worker and rewrite
-    local indices back to global ones.
+    grid is itself a valid sub-grid (:func:`sub_sweep`) — the property
+    the fleet router's sharding and the campaign planner rely on.
     """
     index = 0
     for cache_index, cache in enumerate(validated["caches"]):
@@ -345,16 +377,33 @@ def sweep_grid(validated: dict[str, Any]):
                     "policy": policy,
                     "memory_cycle": beta,
                 }
-                params = {
-                    "trace": validated["trace"],
-                    "cache": cache,
-                    "policy": policy,
-                    "memory_cycle": beta,
-                    "bus_width": validated["bus_width"],
-                    "write_buffer_depth": validated["write_buffer_depth"],
-                    "pipelined_q": validated["pipelined_q"],
-                    "issue_rate": validated["issue_rate"],
-                    "deadline_ms": validated["deadline_ms"],
-                }
-                yield index, point, params
+                yield index, point, point_params(validated, point)
                 index += 1
+
+
+def sub_sweep(
+    validated: dict[str, Any], cache_indices: list[int]
+) -> tuple[dict[str, Any], Callable[[int], tuple[int, int]]]:
+    """The sweep over some of a grid's cache columns, and its index map.
+
+    Returns ``(sub, to_global)``: ``sub`` is a validated sweep with the
+    grid's trace, policies, beta_m values and options but only the
+    caches at ``cache_indices``, in that order; ``to_global(local)``
+    maps the index of a point of ``sub``'s :func:`sweep_grid` to the
+    ``(index, cache_index)`` of the same point in ``validated``'s.
+    """
+    per = len(validated["policies"]) * len(validated["memory_cycles"])
+
+    def to_global(local: int) -> tuple[int, int]:
+        column, rem = divmod(local, per)
+        cache_index = cache_indices[column]
+        return cache_index * per + rem, cache_index
+
+    sub = {
+        "trace": validated["trace"],
+        "caches": [validated["caches"][index] for index in cache_indices],
+        "policies": validated["policies"],
+        "memory_cycles": validated["memory_cycles"],
+        **{name: validated[name] for name in POINT_OPTIONS},
+    }
+    return sub, to_global

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +201,32 @@ class TestMemo:
         get_or_extract(other, CONFIG, trace)
         assert resident == [False, False]
         assert list(events_store._memo) == [entry_key(other, CONFIG)]
+
+
+    def test_nbytes_counts_each_view_as_it_is_built(self):
+        """The budget covers the plain-list views: building ``derived``,
+        its general walk and a k-MSHR walk each grows ``nbytes`` by about
+        what ``tracemalloc`` sees the build keep."""
+        stream = events_store.trace_events(
+            {"kind": "spec92", "name": "swm256", "instructions": 8000, "seed": 7},
+            CONFIG,
+        )
+        builds = (
+            lambda: stream.derived,
+            lambda: stream.derived.general_walk,
+            lambda: stream.derived.mshr_walk(4),
+        )
+        tracemalloc.start()
+        try:
+            for build in builds:
+                gc.collect()
+                before, counted = tracemalloc.get_traced_memory()[0], stream.nbytes
+                build()
+                gc.collect()
+                kept = tracemalloc.get_traced_memory()[0] - before
+                assert 0.9 * kept <= stream.nbytes - counted <= 2.0 * kept
+        finally:
+            tracemalloc.stop()
 
 
 class TestCorruption:

@@ -5,6 +5,7 @@ its own copy-on-write clone of the registry directory, so corruption
 tests can vandalize freely.
 """
 
+import hashlib
 import json
 import shutil
 
@@ -18,6 +19,7 @@ from repro.campaign.registry import (
 )
 from repro.campaign.spec import SchemaError
 from repro.obs import metrics
+from repro.util.jsonout import dump_json, dump_json_line
 
 DOC = {
     "name": "reg-suite",
@@ -206,6 +208,36 @@ class TestResults:
         shutil.copytree(campaign.dir, moved)
         with pytest.raises(SchemaError, match="content address"):
             validate_campaign_dir(moved)
+
+    def test_validate_campaign_dir_catches_swapped_artifact_keys(self, registry):
+        """Both artifacts still load and the state checksum matches, but
+        neither point is addressed by its own result key."""
+        campaign = registry.find("reg-suite")
+        status = campaign.load_state()
+        status[0], status[1] = status[1], status[0]
+        campaign.save_state(status)
+        with pytest.raises(SchemaError, match=r"status\[0\]\.artifact"):
+            validate_campaign_dir(campaign.dir)
+
+    def test_validate_campaign_dir_catches_a_misplaced_point(self, registry):
+        """Results lines swap their points; the summary's sha256 is
+        rewritten to match, so only point identity can catch it."""
+        campaign = registry.find("reg-suite")
+        header, first, second, summary = [
+            json.loads(line)
+            for line in campaign.results_path.read_bytes().splitlines()
+        ]
+        first["point"], second["point"] = second["point"], first["point"]
+        data = b"".join(
+            (dump_json_line(record) + "\n").encode("utf-8")
+            for record in (header, first, second, summary)
+        )
+        campaign.results_path.write_bytes(data)
+        document = json.loads(campaign.summary_path.read_text(encoding="utf-8"))
+        document["results_sha256"] = hashlib.sha256(data).hexdigest()
+        campaign.summary_path.write_text(dump_json(document), encoding="utf-8")
+        with pytest.raises(SchemaError, match=r"results\[0\]\.point"):
+            validate_campaign_dir(campaign.dir)
 
 
 class TestBaselines:

@@ -13,8 +13,8 @@ from repro.campaign.spec import (
     point_params,
     validate_name,
     validate_spec,
-    wire_params,
 )
+from repro.service.schemas import wire_params
 
 SPEC = {
     "name": "unit",

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.cache import events_store, reuse_store
 from repro.cache.events_store import EVENTS_CACHE_ENV
 from repro.experiments import _phi, runner
 from repro.experiments.runner import main
@@ -142,6 +143,23 @@ class TestObservability:
         for experiment_id in ("table2", "example1"):
             runner._run_one(experiment_id, quick=True, with_metrics=True)
         assert calls == ["clear", "trim"] * 2
+
+    def test_memos_cleared_before_each_experiment_without_collection(
+        self, monkeypatch
+    ):
+        """No --out, --metrics or --trace: each experiment still starts
+        with empty phase-1 memos, so none keeps another's streams."""
+        seen = []
+        real = runner.run_experiment
+
+        def observed(experiment_id, quick):
+            seen.append((list(events_store._memo), list(reuse_store._memo)))
+            return real(experiment_id, quick=quick)
+
+        monkeypatch.setattr(runner, "run_experiment", observed)
+        for _ in range(2):
+            runner._run_one("figure1", quick=True)
+        assert seen == [([], [])] * 2
 
     def test_release_heap_is_safe_to_call(self):
         runner._release_heap()

@@ -12,38 +12,12 @@ import tempfile
 
 import numpy as np
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cache import events_store, reuse_store
-from repro.cache.cache import CacheConfig
 from repro.cache.events import EVENT_ARRAYS, extract_events
 from repro.cache.events_store import EVENTS_CACHE_DIR_ENV
 from repro.trace.recipe import trace_recipe
-from repro.trace.spec92 import SPEC92_PROFILES
-
-spec92_traces = st.fixed_dictionaries(
-    {
-        "kind": st.just("spec92"),
-        "name": st.sampled_from(sorted(SPEC92_PROFILES)),
-        "instructions": st.integers(1, 3000),
-        "seed": st.integers(0, 2**32 - 1),
-    }
-)
-matmul_traces = st.fixed_dictionaries(
-    {
-        "kind": st.just("matmul"),
-        "n": st.integers(1, 12),
-        "tile": st.none() | st.integers(1, 16),
-        "element_size": st.integers(1, 16),
-        "alu_per_reference": st.integers(0, 5),
-    }
-)
-lru_geometries = st.builds(
-    lambda line, ways, sets: CacheConfig(line * ways * sets, line, ways),
-    st.sampled_from([4, 8, 16, 32, 64]),
-    st.sampled_from([1, 2, 4, 8]),
-    st.sampled_from([1, 2, 4, 16, 64]),
-)
+from tests.property.strategies import lru_geometries, traces
 
 
 def _cold_memos():
@@ -61,7 +35,7 @@ def assert_same_stream(got, expected):
 
 
 @settings(max_examples=60, deadline=None)
-@given(trace=spec92_traces | matmul_traces, config=lru_geometries)
+@given(trace=traces, config=lru_geometries)
 def test_recipe_stream_equals_the_stepped_stream(trace, config):
     expected = extract_events(trace_recipe(trace).instructions(), config)
     previous = os.environ.get(EVENTS_CACHE_DIR_ENV)

@@ -81,6 +81,32 @@ class TestIdentity:
         assert all(r["cached"] for r in again)
 
 
+class TestCoalescing:
+    def test_a_chunk_on_one_key_is_one_batch(self):
+        """A full sweep chunk (32 points) on one (trace, geometry) reaches
+        the batcher in one loop turn, so it computes as one batch."""
+        registry = MetricsRegistry()
+        with ServerThread(ServerConfig(), registry=registry) as handle:
+            client = ServiceClient("127.0.0.1", handle.port)
+            client.wait_ready()
+            before = registry.snapshot()["counters"]
+            records = list(
+                client.sweep(
+                    trace=TRACE,
+                    caches=CACHES[:1],
+                    policies=["FS", "BNL3"],
+                    memory_cycles=[float(beta) for beta in range(1, 17)],
+                )
+            )
+            after = registry.snapshot()["counters"]
+            client.close()
+        assert records[-1] == {"done": True, "errors": 0, "points": 32}
+        assert not any(record.get("cached") for record in records[1:-1])
+        for name, grown in (("batches", 1), ("requests", 32)):
+            counter = f"service.batch.{name}"
+            assert after[counter] - before.get(counter, 0) == grown
+
+
 class TestPointErrors:
     def test_overflowing_point_becomes_an_invalid_params_line(self, server):
         """A point whose finite inputs overflow the model is a 400 line,
