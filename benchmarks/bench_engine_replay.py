@@ -296,6 +296,14 @@ OVERHEAD_HZ = 97
 #: The bench run itself fails if the sampler costs more than this.
 OVERHEAD_BUDGET_RATIO = 1.05
 
+#: Off/on pairs of full figure1 runs the overhead measurement times.
+#: One warm run takes about 40 ms, and a busy host stretches single
+#: runs by far more than the 5% budget, in slow periods that last
+#: seconds.  Each pair's two runs are adjacent, so such a period
+#: stretches both: over 10 runs of the bench on a 2-CPU host, the
+#: median of 60 pair ratios had an interquartile range of 1.3 points.
+OVERHEAD_PAIRS = 60
+
 
 def _collect_phase_breakdown(store_dir: str) -> dict:
     """Profile a *cold* ``--all --quick`` sweep; return its phase table.
@@ -326,19 +334,23 @@ def _collect_phase_breakdown(store_dir: str) -> dict:
 
 
 def _measure_profiler_overhead() -> dict:
-    """Full figure1 with the sampler on vs off (warm store, best-of-5).
+    """Full figure1 with the sampler on vs off (warm store): the median
+    of :data:`OVERHEAD_PAIRS` per-pair ratios, and each side's median
+    run time.
 
     The ratio is the committed cost of ``--profile=97``;
     :func:`main` fails the bench run when it exceeds the 5% budget.
 
-    Off/on rounds are interleaved (A/B/A/B...) so slow machine drift
-    hits both sides equally: sequential blocks let a background load
-    spike land entirely on one side and fake (or mask) a regression.
-    Every round clears the in-process memos so it does real work
-    against the warm disk store; otherwise later rounds are served
-    from memory in microseconds and best-of times nothing but
-    sampler startup.
+    Off and on runs alternate (A/B, B/A, ...) and each pair's ratio is
+    taken between adjacent runs, so slow machine drift hits both sides
+    equally: blocks of runs on one side let a background load spike
+    land entirely on that side and fake (or mask) a regression.  Every
+    run starts its own sampler, as ``--profile`` does per experiment,
+    and clears the in-process memos first so it does real work against
+    the warm disk store; otherwise later runs are served from memory in
+    microseconds and the pairs time nothing but sampler startup.
     """
+    import statistics
     import time
 
     from repro.experiments._phi import clear_caches
@@ -347,7 +359,7 @@ def _measure_profiler_overhead() -> dict:
     clear_caches()
     run_experiment("figure1", quick=False)  # warm the events store
 
-    def _round(profiled: bool) -> float:
+    def _run(profiled: bool) -> float:
         clear_caches()
         started = time.perf_counter()
         if profiled:
@@ -357,16 +369,15 @@ def _measure_profiler_overhead() -> dict:
             run_experiment("figure1", quick=False)
         return time.perf_counter() - started
 
-    off_s = on_s = None
-    for _ in range(5):
-        off = _round(profiled=False)
-        on = _round(profiled=True)
-        off_s = off if off_s is None or off < off_s else off_s
-        on_s = on if on_s is None or on < on_s else on_s
+    off_runs, on_runs = [], []
+    for pair in range(OVERHEAD_PAIRS):
+        for profiled in (pair % 2 == 1, pair % 2 == 0):
+            (on_runs if profiled else off_runs).append(_run(profiled))
+    ratios = [on / off for on, off in zip(on_runs, off_runs)]
     return {
-        "off_s": round(off_s, 4),
-        "on_s": round(on_s, 4),
-        "ratio": round(on_s / off_s, 4),
+        "off_s": round(statistics.median(off_runs), 4),
+        "on_s": round(statistics.median(on_runs), 4),
+        "ratio": round(statistics.median(ratios), 4),
         "hz": OVERHEAD_HZ,
     }
 

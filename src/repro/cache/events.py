@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -327,10 +328,15 @@ class _Derived:
     the per-miss replay loop indexes far faster than numpy scalars).
 
     :attr:`nbytes` counts what each view holds as it is built, so the
-    events memo bounds them with the stream."""
+    events memo bounds them with the stream.  The views keep the
+    stream's arrays, never the stream: a reference back would put every
+    stream in a cycle that only the cyclic collector frees, long after
+    the memo dropped it."""
 
     def __init__(self, events: EventStream) -> None:
-        self._events = events
+        self._arrays = SimpleNamespace(
+            **{name: getattr(events, name) for name in EVENT_ARRAYS}
+        )
         #: bytes held by the views built so far
         self.nbytes = 0
         # Copy the grid kernel's arrays when it built them; otherwise
@@ -381,7 +387,7 @@ class _Derived:
         the oracle — skipping it is exact."""
         if self._general_walk is not None:
             return self._general_walk
-        ev = self._events
+        ev = self._arrays
         relevant = ev.is_miss | ev.write_through | ev.write_around
         relevant[self._first_after_pos] = True
         relevant |= self._touch_mask
@@ -408,7 +414,7 @@ class _Derived:
         (the conservative superset of MSHR-table overwrites)."""
         if self._owner_arrays is not None:
             return self._owner_arrays
-        ev = self._events
+        ev = self._arrays
         lines = ev.line.tolist()
         misses = ev.is_miss.tolist()
         n = len(lines)
@@ -448,7 +454,7 @@ class _Derived:
         cached = self._mshr_walks.get(mshr_count)
         if cached is not None:
             return cached
-        ev = self._events
+        ev = self._arrays
         is_miss = ev.is_miss
         owner, fills_before, refill_prefix = self._owners()
         between = fills_before - owner - 1

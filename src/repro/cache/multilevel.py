@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cache.cache import Cache, CacheConfig
+from repro.cache.reuse import ReuseProfile, derive_events, require_supported
+from repro.obs import metrics
 from repro.trace.record import Instruction, OpKind
 
 
@@ -154,17 +156,20 @@ def single_level_equivalent(
 
 
 def stats_via_events(events, l2_config: CacheConfig) -> MultilevelStats:
-    """:class:`MultilevelStats` from an L1 event stream; steps only the L2.
+    """:class:`MultilevelStats` from an L1 event stream, with no stepping.
 
     The L2 never sees the raw reference stream — only the L1's miss and
     copy-back traffic, which the phase-1 event stream
-    (:class:`repro.cache.events.EventStream`) records in full: per fill,
-    an optional write of the dirty victim line followed by the fill read
-    (the exact sequence :meth:`TwoLevelCache.access` issues).  Replaying
-    that far shorter stream through a fresh :class:`Cache` reproduces
+    (:class:`repro.cache.events.EventStream`) records in full: per L1
+    miss, a write of the dirty victim line (where ``flush_line >= 0``)
+    followed by the read that probes the L2 (the fill, or a write-around
+    store), the exact sequence :meth:`TwoLevelCache.access` issues.  That far shorter stream's
+    reuse profile derives the L2's exact stats
+    (:func:`repro.cache.reuse.derive_events`), so the hierarchy equals
     :meth:`TwoLevelCache.run` bit for bit while the L1 side comes from
-    phase 1 — usually the reuse engine or the on-disk store, with no
-    stepping at all.
+    phase 1.  The L2 must be LRU, write-back, write-allocate
+    (``ValueError`` otherwise); the L1 stream may come from any
+    geometry, since only its recorded misses and victims are read.
     """
     if l2_config.line_size < events.config.line_size:
         raise ValueError(
@@ -173,22 +178,32 @@ def stats_via_events(events, l2_config: CacheConfig) -> MultilevelStats:
         )
     if l2_config.total_bytes < events.config.total_bytes:
         raise ValueError("L2 must be at least as large as L1")
-    l2 = Cache(l2_config)
-    miss_pos = np.flatnonzero(events.is_miss)
-    addresses = (events.line[miss_pos] + events.offset[miss_pos]).tolist()
-    victims = events.flush_line[miss_pos].tolist()
-    read, write = l2.read, l2.write
-    for address, victim in zip(addresses, victims):
-        if victim >= 0:
-            write(victim)
-        read(address)
+    require_supported(l2_config)
+    metrics.inc("engine.substrate.calls", substrate="l2")
+    # A write-around store miss fills nothing but still probes the L2.
+    fills = np.flatnonzero(events.is_miss | events.write_around)
+    victim = events.flush_line[fills]
+    # Each dirty victim's write goes in just before its fill's read.
+    before = np.flatnonzero(victim >= 0)
+    address = np.insert(
+        events.line[fills] + events.offset[fills], before, victim[before]
+    )
+    is_store = np.insert(np.zeros(fills.shape[0], dtype=bool), before, True)
+    n = address.shape[0]
+    profile = ReuseProfile(
+        n,
+        np.arange(n, dtype=np.int64),
+        address,
+        is_store,
+        np.full(n, events.config.line_size, dtype=np.int64),
+    )
     l1 = events.stats
-    l2_stats = l2.stats
+    l2 = derive_events(profile, l2_config).stats
     return MultilevelStats(
         l1_accesses=l1.accesses,
         l1_misses=l1.misses,
-        l2_accesses=l2_stats.read_hits + l2_stats.read_misses,
-        l2_misses=l2_stats.read_misses,
+        l2_accesses=l2.read_hits + l2.read_misses,
+        l2_misses=l2.read_misses,
     )
 
 

@@ -16,6 +16,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from repro.cache.cache import Cache, CacheConfig
+from repro.cache.events import EventStream
+from repro.cache.reuse import require_supported
+from repro.obs import metrics
 from repro.trace.record import Instruction, OpKind
 
 
@@ -122,17 +125,57 @@ class PrefetchingCache:
 
 
 def prefetch_covered_fraction(
-    instructions: list[Instruction],
-    config: CacheConfig,
+    events: EventStream,
     policy: PrefetchPolicy = PrefetchPolicy.ON_MISS,
 ) -> float:
-    """Fraction of read-miss traffic a sequential prefetcher hides.
+    """Fraction of read-miss traffic a sequential prefetcher hides, from
+    the trace's phase-1 event stream.
 
     Feed ``1 - fraction`` as an R multiplier into the Eq. 2 model to
     price prefetching in the unified hit-ratio currency.
+
+    Prefetching changes what the cache holds, so this is still a walk
+    over every reference, but a lean one: per-set LRU lists of line
+    addresses (``events.line``) and the pending-tag set, under the
+    :class:`PrefetchingCache` rules, which it equals exactly.  LRU,
+    write-back, write-allocate geometries only (``ValueError``
+    otherwise): there loads and stores move tags alike.
     """
-    prefetcher = PrefetchingCache(config, policy)
-    for inst in instructions:
-        if inst.kind.is_memory:
-            prefetcher.access(inst)
-    return prefetcher.stats.coverage
+    config = events.config
+    require_supported(config)
+    metrics.inc("engine.substrate.calls", substrate="prefetch")
+    line_size, ways = config.line_size, config.associativity
+    shift, mask = line_size.bit_length() - 1, config.n_sets - 1
+    #: per set, resident line addresses, least recently used first
+    sets: list[list[int]] = [[] for _ in range(config.n_sets)]
+    pending: set[int] = set()
+    tagged = policy is PrefetchPolicy.TAGGED
+    demand_misses = covered_misses = 0
+    for line in events.line.tolist():
+        resident = sets[(line >> shift) & mask]
+        if line in resident:
+            resident.remove(line)
+            resident.append(line)
+            if line not in pending:
+                continue
+            # First demand touch of a prefetched line: a covered miss.
+            pending.discard(line)
+            covered_misses += 1
+            if not tagged:
+                continue
+        else:
+            if len(resident) == ways:
+                del resident[0]
+            resident.append(line)
+            demand_misses += 1
+            pending.discard(line)
+        # Prefetch the next line unless it is resident.
+        line += line_size
+        resident = sets[(line >> shift) & mask]
+        if line not in resident:
+            if len(resident) == ways:
+                del resident[0]
+            resident.append(line)
+            pending.add(line)
+    total = demand_misses + covered_misses
+    return covered_misses / total if total else 0.0

@@ -62,9 +62,11 @@ rely on, each checked against the oracle by the test suite):
   next miss of that line was a store hit.
 
 Everything else — FIFO/random/PLRU replacement, write-through,
-write-around, victim caches, prefetchers — keeps using the stepping
-extractor (see :func:`unsupported_reason`), exactly as
-:mod:`repro.cpu.replay` keeps the step simulator for its own corners.
+write-around — keeps using the stepping extractor (see
+:func:`unsupported_reason`), exactly as :mod:`repro.cpu.replay` keeps
+the step simulator for its own corners.  The substrate derivations
+(victim buffer, prefetcher, multiprogramming, L2) rely on the same
+invariants and share this scope (:func:`require_supported`).
 """
 
 from __future__ import annotations
@@ -113,6 +115,15 @@ def unsupported_reason(config: CacheConfig) -> str | None:
 def supports(config: CacheConfig) -> bool:
     """Whether :func:`derive_events` covers ``config`` exactly."""
     return unsupported_reason(config) is None
+
+
+def require_supported(config: CacheConfig) -> None:
+    """Raise ``ValueError`` unless the reuse engine covers ``config``
+    (the scope of :func:`derive_events` and of every derivation that
+    relies on its LRU invariants)."""
+    reason = unsupported_reason(config)
+    if reason is not None:
+        raise ValueError(f"reuse engine cannot derive {reason!r} configs")
 
 
 #: Base block width of the merge counter: within-block pairs are counted
@@ -397,6 +408,51 @@ def build_profile(instructions: Iterable[Instruction]) -> ReuseProfile:
     )
 
 
+def pair_victims(
+    miss: np.ndarray,
+    order: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    next_touch: np.ndarray,
+    later_lines: np.ndarray,
+    assoc: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """LRU victim pairing: ``(victim_touch, evicting_fill)``, aligned.
+
+    ``miss``, ``next_touch`` (``n`` where there is none) and
+    ``later_lines`` (distinct other lines of the set touched after a
+    line's final touch; read only there) are per access in program
+    order; ``order``/``starts``/``counts`` group the accesses by set,
+    time order within each set.  Returns program-order positions: the
+    k-th entry of ``evicting_fill`` evicts the line last touched at the
+    k-th entry of ``victim_touch``.
+    """
+    n = miss.shape[0]
+    # Fill ordinals per set: the first A fills land in invalid ways,
+    # every later fill evicts the set's current LRU line.
+    miss_grouped = miss[order]
+    fill_count = np.concatenate(([0], np.cumsum(miss_grouped)))
+    fills_through = fill_count[1:] - np.repeat(fill_count[starts], counts)
+    evicting_grouped = miss_grouped & (fills_through > assoc)
+
+    # Qualifying last touches: the line leaves the set before being
+    # touched again (next touch misses, or no next touch and >= A
+    # distinct other lines follow).
+    has_next = next_touch < n
+    next_miss = np.zeros(n, dtype=bool)
+    next_miss[has_next] = miss[next_touch[has_next]]
+    qualifying = np.where(has_next, next_miss, later_lines >= assoc)
+
+    # Within a set, earlier last-touches are evicted no later than
+    # later ones and the counts match, so the k-th qualifying last
+    # touch is the victim of the k-th evicting fill.  Both masks are
+    # scanned in set-grouped order, so flatnonzero aligns them
+    # set-by-set.
+    victim_touch = order[np.flatnonzero(qualifying[order])]
+    evicting_fill = order[np.flatnonzero(evicting_grouped)]
+    return victim_touch, evicting_fill
+
+
 def derive_events(profile: ReuseProfile, config: CacheConfig) -> EventStream:
     """Derive the exact :class:`EventStream` for one LRU/WB geometry.
 
@@ -404,9 +460,7 @@ def derive_events(profile: ReuseProfile, config: CacheConfig) -> EventStream:
     :class:`CacheStats` both — for every configuration
     :func:`supports` accepts; raises ``ValueError`` otherwise.
     """
-    reason = unsupported_reason(config)
-    if reason is not None:
-        raise ValueError(f"reuse engine cannot derive {reason!r} configs")
+    require_supported(config)
     n = profile.n_accesses
     assoc = config.associativity
     lines = profile.line_view(config.line_size)
@@ -421,33 +475,15 @@ def derive_events(profile: ReuseProfile, config: CacheConfig) -> EventStream:
         associativity=assoc,
     ):
         miss = lines.cold | (sets.sd >= assoc)
-
-        # Fill ordinals per set: the first A fills land in invalid ways,
-        # every later fill evicts the set's current LRU line.
-        miss_grouped = miss[sets.order]
-        fill_count = np.cumsum(miss_grouped)
-        offsets = np.where(
-            sets.starts > 0, fill_count[sets.starts - 1], 0
+        victim_touch, evicting_fill = pair_victims(
+            miss,
+            sets.order,
+            sets.starts,
+            sets.counts,
+            lines.next,
+            sets.stab,
+            assoc,
         )
-        fills_through = fill_count - np.repeat(offsets, sets.counts)
-        evicting_grouped = miss_grouped & (fills_through > assoc)
-
-        # Qualifying last touches: the line leaves the set before being
-        # touched again (next touch misses, or no next touch and >= A
-        # distinct other lines follow).
-        nxt = lines.next
-        has_next = nxt < n
-        next_miss = np.zeros(n, dtype=bool)
-        next_miss[has_next] = miss[nxt[has_next]]
-        qualifying = np.where(has_next, next_miss, sets.stab >= assoc)
-
-        # Within a set, earlier last-touches are evicted no later than
-        # later ones and the counts match, so the k-th qualifying last
-        # touch is the victim of the k-th evicting fill.  Both masks are
-        # scanned in set-grouped order, so flatnonzero aligns them
-        # set-by-set.
-        victim_touch = sets.order[np.flatnonzero(qualifying[sets.order])]
-        evicting_fill = sets.order[np.flatnonzero(evicting_grouped)]
 
         # Dirtiness at the victim's last touch: any store since the
         # residency's fill (misses segment each line's touch chain into

@@ -15,7 +15,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cache.cache import AccessOutcome, Cache, CacheConfig
+from repro.cache.events import EventStream
+from repro.cache.reuse import pair_victims, require_supported
+from repro.obs import metrics
 from repro.trace.record import Instruction, OpKind
 
 
@@ -157,26 +162,82 @@ class VictimCache:
         )
 
 
-def victim_hit_ratio_gain(
-    instructions: list[Instruction],
-    config: CacheConfig,
-    victim_lines: int = 4,
-) -> float:
-    """Hit-ratio increase a victim buffer delivers on a trace.
+def evicted_lines(events: EventStream) -> np.ndarray:
+    """Per fill, in program order: the line the fill evicts, clean or
+    dirty, or -1 when it lands in an empty way.
+
+    The victim pairing of :func:`repro.cache.reuse.derive_events`
+    (:func:`repro.cache.reuse.pair_victims`), fed from the stream's own
+    arrays.  The distinct lines of a set touched after a line's final
+    touch are the set's later final touches.
+    """
+    config = events.config
+    require_supported(config)
+    line, miss = events.line, events.is_miss
+    n = line.shape[0]
+
+    by_line = np.argsort(line, kind="stable")
+    repeat = line[by_line][1:] == line[by_line][:-1]
+    next_touch = np.full(n, n, dtype=np.int64)
+    next_touch[by_line[:-1][repeat]] = by_line[1:][repeat]
+
+    # Set-grouped order: by set, time order within each set.
+    set_of = (line // config.line_size) & (config.n_sets - 1)
+    order = np.argsort(set_of, kind="stable")
+    counts = np.bincount(set_of, minlength=config.n_sets)
+    starts = np.cumsum(counts) - counts
+    finals = np.concatenate(([0], np.cumsum(next_touch[order] == n)))
+    later_lines = np.empty(n, dtype=np.int64)
+    later_lines[order] = (
+        np.repeat(finals[starts + counts], counts) - finals[1:]
+    )
+
+    victim_touch, evicting_fill = pair_victims(
+        miss,
+        order,
+        starts,
+        counts,
+        next_touch,
+        later_lines,
+        config.associativity,
+    )
+    evicted = np.full(n, -1, dtype=np.int64)
+    evicted[evicting_fill] = line[victim_touch]
+    return evicted[miss]
+
+
+def victim_hit_ratio_gain(events: EventStream, victim_lines: int = 4) -> float:
+    """Hit-ratio increase a victim buffer delivers on a trace, from the
+    trace's phase-1 event stream.
 
     This is the quantity the unified methodology prices directly:
     compare it against
     :func:`repro.core.bus_width.hit_ratio_gain_equivalent_to_doubling`
     to decide whether the buffer out-values a wider bus.
+
+    :class:`VictimCache` keeps its main cache's tags and LRU order
+    exactly as a plain :class:`Cache` does, so its main hits are the
+    stream's hits; only the buffer is stepped, over the fills: a fill
+    first takes its own line out of the buffer (a rescue), then pushes
+    its victim (:func:`evicted_lines`), dropping the oldest entry of a
+    full buffer.  LRU, write-back, write-allocate geometries only
+    (``ValueError`` otherwise).
     """
-    plain = Cache(config)
-    combined = VictimCache(config, victim_lines)
-    for inst in instructions:
-        if inst.kind is OpKind.ALU:
-            continue
-        if inst.kind is OpKind.LOAD:
-            plain.read(inst.address)
-        else:
-            plain.write(inst.address)
-        combined.access(inst)
-    return combined.stats.effective_hit_ratio - plain.stats.hit_ratio
+    if victim_lines <= 0:
+        raise ValueError(f"victim_lines must be positive, got {victim_lines}")
+    victims = evicted_lines(events).tolist()
+    metrics.inc("engine.substrate.calls", substrate="victim")
+    buffer: list[int] = []
+    rescues = 0
+    for line, victim in zip(events.line[events.is_miss].tolist(), victims):
+        if line in buffer:
+            buffer.remove(line)
+            rescues += 1
+        if victim >= 0:
+            if len(buffer) >= victim_lines:
+                del buffer[0]
+            buffer.append(victim)
+    stats = events.stats
+    accesses = stats.accesses
+    effective = (stats.hits + rescues) / accesses if accesses else 0.0
+    return effective - stats.hit_ratio

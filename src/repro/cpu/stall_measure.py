@@ -125,8 +125,7 @@ def average_stall_percentages(
 ) -> dict[StallPolicy, list[float]]:
     """Figure 1's data: mean ``phi`` (% of L/D) per policy per ``beta_m``.
 
-    Accepts any sequence type per trace (tuples pass straight through
-    from the memoized trace cache — no defensive copies).  Phase 1 of
+    Accepts any sequence type per trace (no defensive copies).  Phase 1 of
     the two-phase engine runs once per trace; every (policy,
     ``beta_m``) grid point is then a timing replay over the event
     stream, averaged across traces exactly as the paper averages its

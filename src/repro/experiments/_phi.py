@@ -7,10 +7,10 @@ and on disk by :func:`repro.cache.events_store.get_or_extract`) and
 times each trace's whole ``beta_m`` grid in one phase-2 call (the
 βm-grid kernel, :func:`repro.cpu.replay.replay_fs_sweep`).
 
-Observability: the trace build and functional passes run under spans,
-and per-(trace, geometry) cache counters are recorded from the event
-streams once per experiment.  :func:`clear_caches` empties the trace
-memo, both phase-1 memos and the record of counted streams — the runner
+Observability: the functional passes run under spans, and
+per-(trace, geometry) cache counters are recorded from the event
+streams once per experiment.  :func:`clear_caches` empties both
+phase-1 memos and the record of counted streams — the runner
 calls it before every experiment, so no experiment's streams stay
 resident through the next and per-experiment counts are independent of
 what ran earlier in the process (the basis of the ``--jobs N`` byte-identical-aggregate
@@ -19,15 +19,12 @@ guarantee; see ``docs/OBSERVABILITY.md``).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from repro.cache import events_store, reuse_store
 from repro.cache.cache import CacheConfig
 from repro.cache.events import EventStream
 from repro.core.stalling import StallPolicy
 from repro.cpu.replay import replay_fs_sweep
 from repro.obs import metrics, tracing
-from repro.trace.record import Instruction
 from repro.trace.spec92 import SPEC92_PROFILES
 
 #: Instruction counts for full and quick runs.  The paper used 50 M per
@@ -41,32 +38,6 @@ DEFAULT_SEED = 7
 #: ``(n_instructions, cache_bytes, line_size, associativity, seed)`` of
 #: the stream sets whose ``cache.*`` counters this experiment recorded.
 _counted: set[tuple[int, int, int, int, int]] = set()
-
-
-@lru_cache(maxsize=8)
-def _spec92_traces_cached(
-    n_instructions: int, seed: int
-) -> dict[str, tuple[Instruction, ...]]:
-    with tracing.span(
-        "phase1.traces", n_instructions=n_instructions, seed=seed
-    ):
-        return {
-            name: tuple(profile.trace(n_instructions, seed=seed))
-            for name, profile in SPEC92_PROFILES.items()
-        }
-
-
-def spec92_traces(
-    n_instructions: int, seed: int = DEFAULT_SEED
-) -> dict[str, tuple[Instruction, ...]]:
-    """The six stand-in traces, materialized once per (length, seed).
-
-    No memo hit/miss counter here: with the on-disk event-stream store
-    (:mod:`repro.cache.events_store`) warm runs never materialize the
-    traces at all, and a counter would make cold and warm metrics
-    snapshots differ.
-    """
-    return _spec92_traces_cached(n_instructions, seed)
 
 
 def _record_stream_counters(
@@ -198,8 +169,8 @@ def measured_phi_percentages(
 
 
 def clear_caches() -> None:
-    """Reset the in-process phase-1 state: the trace memo, the event
-    stream and reuse profile memos, and the record of counted streams.
+    """Reset the in-process phase-1 state: the event stream and reuse
+    profile memos, and the record of counted streams.
 
     The runner calls this before every experiment, so each experiment's
     counters describe a cold start — independent of job count and of
@@ -208,7 +179,6 @@ def clear_caches() -> None:
     use is counter-free, so warm entries cannot perturb either results
     or metrics.
     """
-    _spec92_traces_cached.cache_clear()
     _counted.clear()
     events_store.clear_memory()
     reuse_store.clear_memory()

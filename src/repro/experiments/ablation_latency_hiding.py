@@ -22,7 +22,7 @@ from repro.cache.prefetch import PrefetchPolicy, prefetch_covered_fraction
 from repro.cache.victim import victim_hit_ratio_gain
 from repro.core.bus_width import hit_ratio_gain_equivalent_to_doubling
 from repro.core.params import SystemConfig
-from repro.experiments._phi import spec92_events, spec92_traces
+from repro.experiments._phi import spec92_events
 from repro.experiments.base import ExperimentResult
 from repro.trace.spec92 import SPEC92_PROFILES
 from repro.util.tables import format_table
@@ -39,18 +39,14 @@ def run(quick: bool = False) -> ExperimentResult:
         title="Prefetching and victim caching in the hit-ratio currency",
     )
     rows = []
-    traces = spec92_traces(length, seed=7)
     for name in SPEC92_PROFILES:
-        trace = traces[name]
-        coverage = prefetch_covered_fraction(trace, CACHE, PrefetchPolicy.TAGGED)
-        victim_gain = victim_hit_ratio_gain(trace, CACHE, victim_lines=4)
+        events = spec92_events(name, length, CACHE)
+        coverage = prefetch_covered_fraction(events, PrefetchPolicy.TAGGED)
+        victim_gain = victim_hit_ratio_gain(events, victim_lines=4)
 
         # Convert coverage to a hit-ratio gain: hiding a fraction c of
-        # misses is raising HR by c * (1 - HR).  The baseline HR comes
-        # from the two-phase engine (write-allocate write-back classifies
-        # loads and stores identically, so this matches the old
-        # read-probe loop bit for bit, without stepping a Cache).
-        hr = spec92_events(name, length, CACHE).stats.hit_ratio
+        # misses is raising HR by c * (1 - HR).
+        hr = events.stats.hit_ratio
         prefetch_gain = coverage * (1.0 - hr)
         bus_gain = hit_ratio_gain_equivalent_to_doubling(CONFIG, hr)
         rows.append(

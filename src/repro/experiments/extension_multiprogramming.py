@@ -13,7 +13,7 @@ exactly when the paper's single-program characterization stays valid.
 from __future__ import annotations
 
 from repro.cache.cache import CacheConfig
-from repro.experiments._phi import spec92_traces
+from repro.experiments._phi import spec92_events
 from repro.experiments.base import ExperimentResult
 from repro.trace.multiprogram import pollution_sweep
 
@@ -27,8 +27,7 @@ def run(quick: bool = False) -> ExperimentResult:
     """Pollution factor versus scheduling quantum."""
     quanta = QUICK_QUANTA if quick else FULL_QUANTA
     length = 5_000 if quick else 20_000
-    all_traces = spec92_traces(length, seed=7)
-    traces = [all_traces[name] for name in TASKS]
+    streams = [spec92_events(name, length, CACHE) for name in TASKS]
     result = ExperimentResult(
         experiment_id="extension_multiprogramming",
         title=(
@@ -38,7 +37,7 @@ def run(quick: bool = False) -> ExperimentResult:
         x_label="scheduling quantum (instructions)",
         x_values=[float(q) for q in quanta],
     )
-    comparisons = pollution_sweep(traces, CACHE, list(quanta))
+    comparisons = pollution_sweep(streams, list(quanta))
     solo = comparisons[-1].solo_miss_ratio if comparisons else None
     factors = [comparison.pollution_factor for comparison in comparisons]
     result.add_series("miss-ratio inflation (x)", factors)

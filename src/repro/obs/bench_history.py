@@ -106,6 +106,18 @@ HEADLINE_METRICS: tuple[HeadlineMetric, ...] = (
         "engine.all_quick_s", "engine", ("benchmarks", "all_quick_s"), "lower"
     ),
     HeadlineMetric(
+        "engine.all_full_cold_s",
+        "engine",
+        ("benchmarks", "all_full_cold_s"),
+        "lower",
+    ),
+    HeadlineMetric(
+        "engine.all_full_warm_s",
+        "engine",
+        ("benchmarks", "all_full_warm_s"),
+        "lower",
+    ),
+    HeadlineMetric(
         "service.warm_cache.p50_ms",
         "service",
         ("warm_cache", "p50_ms"),

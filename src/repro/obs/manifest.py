@@ -80,7 +80,9 @@ def _numpy_version() -> str | None:
 
 
 def _engine_path(counters: dict[str, Any]) -> str:
-    """Classify which engine produced the run's numbers."""
+    """Classify which engine produced the run's numbers: ``substrate``
+    when only the phase-1 substrate derivations ran
+    (``engine.substrate.calls``), neither replay nor the step simulator."""
     replay = counters.get("engine.replay.calls", 0)
     step = counters.get("engine.step.calls", 0)
     if replay and step:
@@ -89,6 +91,8 @@ def _engine_path(counters: dict[str, Any]) -> str:
         return "replay"
     if step:
         return "step"
+    if any(_counter_base(key) == "engine.substrate.calls" for key in counters):
+        return "substrate"
     return "analytic"
 
 

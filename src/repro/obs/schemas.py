@@ -514,7 +514,9 @@ _MANIFEST = _open(
         "schema": const(MANIFEST_SCHEMA),
         "experiment": _TEXT,
         "config": _open({"quick": boolean}),
-        "engine": _open({"path": choice(("replay", "step", "mixed", "analytic"))}),
+        "engine": _open(
+            {"path": choice(("replay", "step", "mixed", "substrate", "analytic"))}
+        ),
         "eq2": _open(
             dict.fromkeys((*_EQ2_TERMS, "total_cycles"), _NUMBER), _eq2_terms_sum
         ),

@@ -16,8 +16,18 @@ share data), which is what makes the cache pollution real.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+import numpy as np
+
+from repro.obs import metrics
 from repro.trace.record import Instruction, OpKind
+
+if TYPE_CHECKING:
+    from repro.cache.events import EventStream
+
+#: Each task's address window (:func:`disjoint_address_spaces`).
+_REGION_BYTES = 1 << 28
 
 
 def rebase(instructions: list[Instruction], offset: int) -> list[Instruction]:
@@ -37,7 +47,7 @@ def rebase(instructions: list[Instruction], offset: int) -> list[Instruction]:
 
 def disjoint_address_spaces(
     traces: list[list[Instruction]],
-    region_bytes: int = 1 << 28,
+    region_bytes: int = _REGION_BYTES,
 ) -> list[list[Instruction]]:
     """Rebase each trace into its own ``region_bytes`` window."""
     if region_bytes <= 0:
@@ -93,60 +103,81 @@ class MultiprogramComparison:
         return self.interleaved_miss_ratio / self.solo_miss_ratio
 
 
-def _step(cache, instructions) -> None:
-    for inst in instructions:
-        if inst.kind is OpKind.LOAD:
-            cache.read(inst.address)
-        elif inst.kind is OpKind.STORE:
-            cache.write(inst.address)
-
-
 def pollution_sweep(
-    traces: list[list[Instruction]],
-    cache_config,
-    quanta: list[int],
+    streams: list[EventStream], quanta: list[int]
 ) -> list[MultiprogramComparison]:
-    """:func:`measure_pollution` across several quanta, sharing the
-    quantum-independent work.
+    """:func:`measure_pollution` across several quanta, from each task's
+    phase-1 event stream (all of one geometry).
 
-    The rebased address spaces and the solo baseline (each task on a
-    private, fresh cache) do not depend on the quantum; a sweep pays for
-    them once, and per quantum only the shared interleaved run steps a
-    cache.
+    :func:`disjoint_address_spaces` offsets task ``t`` by
+    ``t * 2**28``, a multiple of the line size, which only relabels
+    sets: each task's solo run on a private, fresh cache is its stream's
+    own ``stats``.  Each quantum's shared run is one new reference
+    stream — every task's references in :func:`interleave` order,
+    rebased — whose exact stats :func:`repro.cache.reuse.derive_events`
+    derives from its reuse profile.  LRU, write-back, write-allocate
+    geometries only (``ValueError`` otherwise).
     """
-    from repro.cache.cache import Cache
+    from repro.cache.reuse import ReuseProfile, derive_events, require_supported
 
-    spaces = disjoint_address_spaces(traces)
-    solo_hits = solo_accesses = 0
-    for trace in spaces:
-        cache = Cache(cache_config)
-        _step(cache, trace)
-        solo_hits += cache.stats.hits
-        solo_accesses += cache.stats.accesses
+    if not streams:
+        raise ValueError("need at least one trace")
+    config = streams[0].config
+    if any(events.config != config for events in streams):
+        raise ValueError("every task's stream must have the same geometry")
+    require_supported(config)
+    metrics.inc("engine.substrate.calls", substrate="multiprogram")
+    solo_hits = sum(events.stats.hits for events in streams)
+    solo_accesses = sum(events.stats.accesses for events in streams)
     solo_mr = 1.0 - (solo_hits / solo_accesses if solo_accesses else 0.0)
+
+    n_instructions = sum(events.n_instructions for events in streams)
+    task = np.repeat(
+        np.arange(len(streams)), [events.n_accesses for events in streams]
+    )
+    index = np.concatenate([events.index for events in streams])
+    address = np.concatenate(
+        [
+            events.line + events.offset + t * _REGION_BYTES
+            for t, events in enumerate(streams)
+        ]
+    )
+    is_store = np.concatenate([events.is_store for events in streams])
+    size = np.concatenate([events.size for events in streams])
 
     comparisons = []
     for quantum in quanta:
-        shared = Cache(cache_config)
-        _step(shared, interleave(spaces, quantum))
+        if quantum <= 0:
+            raise ValueError(f"quantum must be positive, got {quantum}")
+        # interleave() runs instruction i of task t in round i // quantum,
+        # the tasks in order within a round.  The profile's index only
+        # labels the references; the stats do not read it.
+        order = np.lexsort((index, task, index // quantum))
+        profile = ReuseProfile(
+            n_instructions,
+            np.arange(order.shape[0]),
+            address[order],
+            is_store[order],
+            size[order],
+        )
         comparisons.append(
             MultiprogramComparison(
                 solo_miss_ratio=solo_mr,
-                interleaved_miss_ratio=shared.stats.miss_ratio,
+                interleaved_miss_ratio=derive_events(
+                    profile, config
+                ).stats.miss_ratio,
             )
         )
     return comparisons
 
 
 def measure_pollution(
-    traces: list[list[Instruction]],
-    cache_config,
-    quantum: int,
+    streams: list[EventStream], quantum: int
 ) -> MultiprogramComparison:
-    """Miss-ratio inflation caused by time slicing ``traces`` together.
+    """Miss-ratio inflation caused by time slicing the tasks together.
 
     The solo baseline runs each task on a private (fresh) cache; the
     interleaved run shares one cache across quanta.  The gap is the
     Section 3.4 effect.
     """
-    return pollution_sweep(traces, cache_config, [quantum])[0]
+    return pollution_sweep(streams, [quantum])[0]

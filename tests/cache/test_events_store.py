@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -227,6 +228,27 @@ class TestMemo:
                 assert 0.9 * kept <= stream.nbytes - counted <= 2.0 * kept
         finally:
             tracemalloc.stop()
+
+
+    def test_dropped_stream_is_freed_without_the_cyclic_collector(self):
+        """No view points back at its stream, so once the memo drops a
+        stream whose views were built, reference counting frees it."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            stream = get_or_extract(
+                FP, CONFIG, lambda: spec92_trace("swm256", 1200, seed=7)
+            )
+            stream.derived.general_walk
+            stream.derived.mshr_walk(2)
+            freed = weakref.ref(stream)
+            del stream
+            assert freed() is not None
+            events_store.clear_memory()
+            assert freed() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestCorruption:

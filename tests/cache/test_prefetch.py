@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache.cache import CacheConfig
+from repro.cache.events import extract_events
 from repro.cache.prefetch import (
     PrefetchingCache,
     PrefetchPolicy,
@@ -37,7 +38,7 @@ class TestOnMiss:
 
     def test_tagged_covers_nearly_everything_sequential(self):
         coverage = prefetch_covered_fraction(
-            sequential_trace(6000), CONFIG, PrefetchPolicy.TAGGED
+            extract_events(sequential_trace(6000), CONFIG), PrefetchPolicy.TAGGED
         )
         assert coverage > 0.9
 
@@ -76,9 +77,11 @@ class TestAccounting:
 class TestWorkloadDependence:
     def test_random_workload_gets_little_coverage(self):
         trace = spec92_trace("doduc", 5000, seed=5)
-        coverage = prefetch_covered_fraction(trace, CONFIG, PrefetchPolicy.TAGGED)
+        coverage = prefetch_covered_fraction(
+            extract_events(trace, CONFIG), PrefetchPolicy.TAGGED
+        )
         sequential = prefetch_covered_fraction(
-            sequential_trace(5000), CONFIG, PrefetchPolicy.TAGGED
+            extract_events(sequential_trace(5000), CONFIG), PrefetchPolicy.TAGGED
         )
         assert coverage < sequential
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache.cache import CacheConfig
+from repro.cache.events import extract_events
 from repro.cache.victim import VictimCache, victim_hit_ratio_gain
 from repro.trace.record import ALU_OP, load, store
 from repro.trace.spec92 import spec92_trace
@@ -83,19 +84,20 @@ class TestAccounting:
 
 class TestGain:
     def test_gain_positive_on_conflict_heavy_trace(self):
-        gain = victim_hit_ratio_gain(conflict_trace(30), CONFIG, victim_lines=4)
+        events = extract_events(conflict_trace(30), CONFIG)
+        gain = victim_hit_ratio_gain(events, victim_lines=4)
         assert gain > 0.2
 
     def test_gain_never_negative(self):
         for program in ("ear", "doduc"):
             trace = spec92_trace(program, 4000, seed=5)
             gain = victim_hit_ratio_gain(
-                trace, CacheConfig(8192, 32, 2), victim_lines=4
+                extract_events(trace, CacheConfig(8192, 32, 2)), victim_lines=4
             )
             assert gain >= -1e-12
 
     def test_bigger_buffer_never_hurts(self):
-        trace = conflict_trace(30)
-        small = victim_hit_ratio_gain(trace, CONFIG, victim_lines=1)
-        large = victim_hit_ratio_gain(trace, CONFIG, victim_lines=8)
+        events = extract_events(conflict_trace(30), CONFIG)
+        small = victim_hit_ratio_gain(events, victim_lines=1)
+        large = victim_hit_ratio_gain(events, victim_lines=8)
         assert large >= small

@@ -70,13 +70,15 @@ class TestPhase1Memoization:
         """
         from repro.cache.cache import CacheConfig
         from repro.cpu.stall_measure import average_stall_percentages
-        from repro.experiments._phi import spec92_traces
+        from repro.trace.spec92 import SPEC92_PROFILES, spec92_trace
 
         betas = (4.0, 16.0)
         via_replay = measured_phi_percentages(
             StallPolicy.FULL_STALL, 32, 8192, 2, betas, 4, 2000
         )
-        traces = spec92_traces(2000)
+        traces = {
+            name: spec92_trace(name, 2000, seed=7) for name in SPEC92_PROFILES
+        }
         via_oracle = average_stall_percentages(
             traces, CacheConfig(8192, 32, 2), (StallPolicy.NON_BLOCKING,),
             betas, 4,

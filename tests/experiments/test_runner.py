@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.cache import events_store, reuse_store
-from repro.cache.events_store import EVENTS_CACHE_ENV
+from repro.cache.events_store import EVENTS_CACHE_DIR_ENV, EVENTS_CACHE_ENV
 from repro.experiments import _phi, runner
 from repro.experiments.runner import main
 from repro.obs import schemas, stable_view
@@ -219,6 +219,52 @@ class TestReuseProfileFlag:
         }
         assert dispatches
         assert all("engine=reuse" in key for key in dispatches)
+
+
+class TestSubstrateExperiments:
+    """The victim, prefetch, multiprogramming and L2 experiments run on
+    phase-1 event streams: no trace is materialized, cold or warm, and
+    each manifest names the substrate engine and counts its calls."""
+
+    CALLS = {
+        "ablation_latency_hiding": {"prefetch": 6, "victim": 6},
+        "extension_multiprogramming": {"multiprogram": 1},
+        "extension_multilevel": {"l2": 8},
+    }
+
+    def test_cold_and_warm_runs_name_the_substrate_engine(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.trace.spec92 import WorkloadProfile
+
+        monkeypatch.setenv(EVENTS_CACHE_DIR_ENV, str(tmp_path / "store"))
+        monkeypatch.setattr(
+            WorkloadProfile,
+            "trace",
+            lambda *args, **kwargs: pytest.fail("materialized a trace"),
+        )
+        cold, warm = tmp_path / "cold", tmp_path / "warm"
+        for out in (cold, warm):
+            assert main([*self.CALLS, "--quick", "--out", str(out)]) == 0
+
+        for experiment_id, calls in self.CALLS.items():
+            path = f"{experiment_id}.meta.json"
+            manifest = json.loads((cold / path).read_text())
+            assert manifest["engine"]["path"] == "substrate"
+            counters = manifest["metrics"]["counters"]
+            assert {
+                key: value
+                for key, value in counters.items()
+                if key.startswith("engine.substrate.calls")
+            } == {
+                f"engine.substrate.calls{{substrate={name}}}": count
+                for name, count in calls.items()
+            }
+            warm_manifest = json.loads((warm / path).read_text())
+            assert stable_view(manifest) == stable_view(warm_manifest)
+        for path in cold.iterdir():
+            if not path.name.endswith(".meta.json"):
+                assert path.read_bytes() == (warm / path.name).read_bytes()
 
 
 class TestPhiGridPath:

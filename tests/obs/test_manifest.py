@@ -54,6 +54,11 @@ class TestBuild:
         assert step["engine"]["path"] == "step"
         mixed = _build(metrics_snapshot=_snapshot(replay_calls=1, step_calls=1))
         assert mixed["engine"]["path"] == "mixed"
+        substrate = _snapshot(replay_calls=0)
+        substrate["counters"]["engine.substrate.calls{substrate=l2}"] = 8
+        document = _build(metrics_snapshot=substrate)
+        assert document["engine"]["path"] == "substrate"
+        schemas.validate_manifest(document)
 
     def test_analytic_experiment_without_metrics(self):
         document = _build(metrics_snapshot=None)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache.cache import CacheConfig
+from repro.cache.events import extract_events
 from repro.trace.multiprogram import (
     disjoint_address_spaces,
     interleave,
@@ -61,27 +62,30 @@ class TestInterleave:
             interleave([], quantum=10)
 
 
+def task_streams(length, names=("ear", "doduc", "swm256")):
+    """Each task's phase-1 event stream on the 8K 2-way cache."""
+    return [
+        extract_events(spec92_trace(name, length, seed=7), CacheConfig(8192, 32, 2))
+        for name in names
+    ]
+
+
 class TestPollution:
     @pytest.fixture(scope="class")
-    def traces(self):
-        return [
-            spec92_trace(name, 4000, seed=7)
-            for name in ("ear", "doduc", "swm256")
-        ]
+    def streams(self):
+        return task_streams(4000)
 
-    def test_interleaving_inflates_miss_ratio(self, traces):
-        comparison = measure_pollution(traces, CacheConfig(8192, 32, 2), 100)
+    def test_interleaving_inflates_miss_ratio(self, streams):
+        comparison = measure_pollution(streams, 100)
         assert comparison.pollution_factor > 1.0
 
-    def test_longer_quanta_pollute_less(self, traces):
-        config = CacheConfig(8192, 32, 2)
-        short = measure_pollution(traces, config, 50).pollution_factor
-        long = measure_pollution(traces, config, 2000).pollution_factor
+    def test_longer_quanta_pollute_less(self, streams):
+        short = measure_pollution(streams, 50).pollution_factor
+        long = measure_pollution(streams, 2000).pollution_factor
         assert long < short
 
     def test_single_task_has_no_pollution(self):
-        trace = spec92_trace("ear", 4000, seed=7)
-        comparison = measure_pollution([trace], CacheConfig(8192, 32, 2), 100)
+        comparison = measure_pollution(task_streams(4000, ("ear",)), 100)
         assert comparison.pollution_factor == pytest.approx(1.0)
 
 
@@ -90,23 +94,19 @@ class TestPollutionSweep:
     must equal independent measure_pollution calls exactly."""
 
     @pytest.fixture(scope="class")
-    def traces(self):
-        return [
-            spec92_trace(name, 3000, seed=7)
-            for name in ("ear", "doduc", "swm256")
-        ]
+    def streams(self):
+        return task_streams(3000)
 
-    def test_matches_per_quantum_measurement(self, traces):
+    def test_matches_per_quantum_measurement(self, streams):
         from repro.trace.multiprogram import pollution_sweep
 
-        config = CacheConfig(8192, 32, 2)
         quanta = [50, 100, 2000]
-        swept = pollution_sweep(traces, config, quanta)
+        swept = pollution_sweep(streams, quanta)
         for quantum, comparison in zip(quanta, swept):
-            single = measure_pollution(traces, config, quantum)
+            single = measure_pollution(streams, quantum)
             assert comparison == single
 
-    def test_empty_quanta(self, traces):
+    def test_empty_quanta(self, streams):
         from repro.trace.multiprogram import pollution_sweep
 
-        assert pollution_sweep(traces, CacheConfig(8192, 32, 2), []) == []
+        assert pollution_sweep(streams, []) == []
